@@ -6,8 +6,7 @@ and several dict/dataclass intermediates.  For the common experiment
 configuration -- stock :class:`~repro.platform.machine.Machine`, stock
 :class:`~repro.core.sampling.CounterSampler`, one inline-able
 :class:`~repro.measurement.power_meter.PowerMeter`, no fault injection,
-no online adaptation, no constraint schedule, telemetry off -- this
-module runs the same loop batched:
+no online adaptation -- this module runs the same loop batched:
 
 * **Dynamic governors** (PerformanceMaximizer, PowerSave,
   DemandBasedSwitching) decide every tick, so their loop fuses the
@@ -16,36 +15,47 @@ module runs the same loop batched:
   (:meth:`PerformanceMaximizer.projection_table` /
   :meth:`PowerSave.projection_table`) entirely in local variables,
   syncing object state only at checkpoint boundaries and loop exit.
+  Constraint schedules are boundaries inside this loop (a due change is
+  delivered between two ticks, then the decision inputs are re-read),
+  and with telemetry on the loop feeds the scalar loop's per-tick
+  accounting helper from its locals, so observing a run keeps it fast.
 * **Static governors** (StaticClocking, FixedFrequency) never change
   their mind, so their loop consumes whole
   :meth:`~repro.platform.machine.Machine.step_block` blocks between
   checkpoint boundaries and converts them with
-  :meth:`~repro.core.sampling.CounterSampler.consume_block`.
+  :meth:`~repro.core.sampling.CounterSampler.consume_block`.  Runs with
+  telemetry or a schedule leave this arm to the scalar loop.
 
 **Bit-identical contract.**  Both arms replicate the scalar loop's RNG
 draws, float operation order and side effects exactly; ``RunResult``
-digests and checkpoint contents are indistinguishable from the scalar
-path's (``tests/core/test_block_equivalence.py``).  Anything the fast
+digests, checkpoint contents and telemetry (metrics, span paths and
+counts, events) are indistinguishable from the scalar path's
+(``tests/core/test_block_equivalence.py`` and the generated-input
+oracle ``tests/core/test_fast_scalar_oracle.py``).  Anything the fast
 path cannot replicate exactly -- resilience runtimes, fault injection,
 adaptation probation, multiplexed samplers, thermal models, wrapped
-drivers/meters, instrumented telemetry, exotic governors -- fails
-:func:`eligible` and falls back to the scalar loop.
+drivers/meters, exotic governors -- fails :func:`fallback_reason`, which
+names the first failed check, and falls back to the scalar loop; with
+telemetry on the run counts under
+``controller.fast_path_fallback.<reason>``.
 
-Kill switches: set module flag ``FAST_LOOP = False`` (tests monkeypatch
-this) or export ``REPRO_SCALAR_LOOP=1`` in the environment.
+Kill switches (reason ``forced``): set module flag ``FAST_LOOP = False``
+(tests monkeypatch this) or export ``REPRO_SCALAR_LOOP=1`` in the
+environment.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking
 from repro.core.governors.unconstrained import FixedFrequency
-from repro.core.sampling import CounterSampler
+from repro.core.sampling import CounterSample, CounterSampler, sample_event
 from repro.errors import ExperimentError
 from repro.drivers.msr import (
     IA32_PMC0,
@@ -89,47 +99,52 @@ _DYNAMIC = (PerformanceMaximizer, PowerSave, DemandBasedSwitching)
 _STATIC = (StaticClocking, FixedFrequency)
 
 
-def eligible(st, tel) -> bool:
-    """Whether ``st`` can run the batched loop bit-identically.
+def fallback_reason(st, tel) -> str | None:
+    """Why ``st`` cannot run the batched loop (None: it can).
 
-    The conditions mirror everything the fused kernels inline; any
-    stateful boundary the batch cannot replicate exactly (resilience,
-    injection, adaptation, schedules, telemetry, wrappers, subclasses)
-    routes the run back to the scalar loop.
+    Names the first check that failed; the conditions mirror everything
+    the fused kernels inline.  Any stateful boundary the batch cannot
+    replicate exactly (resilience, injection, adaptation, wrappers,
+    subclasses) routes the run back to the scalar loop.  Telemetry and
+    constraint schedules are handled by the dynamic arm; the static arm
+    leaves both to the scalar loop.  The kill switches report
+    ``"forced"``.
     """
     if not FAST_LOOP or os.environ.get("REPRO_SCALAR_LOOP"):
-        return False
-    if tel is not None and tel.enabled:
-        return False
-    if (
-        st.rt is not None
-        or st.injecting
-        or st.adapting
-        or st.schedule is not None
-    ):
-        return False
-    machine = st.machine
-    if not block_capable(machine):
-        return False
-    if st.driver is not machine.speedstep:
-        return False
-    sampler = st.sampler
-    if type(sampler) is not CounterSampler:
-        return False
-    for event in sampler._events:
-        if event not in _SELECTOR:
-            return False
+        return "forced"
+    if st.injecting:
+        return "faults"
+    if st.rt is not None:
+        return "resilience"
+    if st.adapting:
+        return "adaptation"
     governor = st.governor
     gtype = type(governor)
     if gtype not in _DYNAMIC and gtype not in _STATIC:
-        return False
+        return "governor"
     if hasattr(governor, "observe_power"):
-        return False
+        return "power_feedback"
+    machine = st.machine
     if tuple(governor.table) != tuple(machine.config.table):
-        return False
+        return "pstate_table"
+    if not block_capable(machine):
+        return "machine"
+    if st.driver is not machine.speedstep:
+        return "driver"
+    sampler = st.sampler
+    if type(sampler) is not CounterSampler:
+        return "sampler"
+    for event in sampler._events:
+        if event not in _SELECTOR:
+            return "events"
     if inline_meter(machine) is not st.meter:
-        return False
-    return True
+        return "meter"
+    if gtype in _STATIC:
+        if tel is not None and tel.enabled:
+            return "static_telemetry"
+        if st.schedule is not None:
+            return "static_schedule"
+    return None
 
 
 def run_fast(st, tel, checkpointer=None, resumed=False):
@@ -256,6 +271,41 @@ def _run_static(st, tel, checkpointer, resumed):
     return _finish_run(st, tel)
 
 
+def _decision_inputs(governor, mode, state_index):
+    """The governor's decision inputs, as the dynamic kernel's locals.
+
+    Read at loop entry and again after every delivered constraint
+    change, so a new limit, floor, guardband or model takes effect at
+    the next decision, as in the scalar loop.  One fixed layout for all
+    three governors (unused slots are None): ``(proj_rows, budget_w,
+    raise_window, raise_streak, pending_index, floor_plus_eps,
+    dcu_threshold, fastest_mhz, fast_factor, ascending_rows,
+    up_threshold, down_threshold)``.
+    """
+    out = [None] * 12
+    if mode == 0:  # PerformanceMaximizer
+        pending = governor._pending_raise
+        out[:5] = (
+            governor.projection_table().rows,
+            governor._limit - governor._guardband,
+            governor._raise_window,
+            governor._raise_streak,
+            state_index[pending] if pending is not None else None,
+        )
+    elif mode == 1:  # PowerSave
+        ps_proj = governor.projection_table()
+        out[5:10] = (
+            governor._floor + 1e-12,
+            governor._model.dcu_threshold,
+            ps_proj.fastest_mhz,
+            ps_proj.fast_factor,
+            ps_proj.ascending,
+        )
+    else:  # DemandBasedSwitching
+        out[10:] = (governor._up, governor._down)
+    return out
+
+
 def _run_dynamic(st, tel, checkpointer, resumed):
     """Fully fused arm for per-tick-deciding governors.
 
@@ -281,8 +331,28 @@ def _run_dynamic(st, tel, checkpointer, resumed):
     save, on the simulated-time-limit raise and at loop exit, so
     checkpoints and error states are indistinguishable from the scalar
     path's.
+
+    **Constraint schedules.**  A due change is a boundary at the top of
+    a tick (``time_s >= next_change_s``; infinity without a schedule,
+    so the plain kernel pays one float compare): the kernel writes PM's
+    hysteresis back, delivers every due change through the scalar
+    loop's helper and re-reads the decision inputs.
+
+    **Telemetry.**  With an enabled recorder the kernel feeds the scalar
+    loop's per-tick accounting helper from its own locals (same
+    counters, histograms and events, in the same order) and times the
+    ``execute``/``sample``/``decide``/``actuate`` phases with clock
+    reads instead of span context managers.  PM's power estimate comes
+    from the projection row the decision already used, which is
+    bitwise ``estimate_power``.
     """
-    from repro.core.controller import TraceRow, _finish_run
+    from repro.core.controller import (
+        TraceRow,
+        _deliver_due,
+        _finish_run,
+        _next_change_s,
+        _TickTelemetry,
+    )
 
     machine = st.machine
     governor = st.governor
@@ -309,8 +379,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
     mach_std = machine._rng.standard_normal
     _exp = math.exp
     _new = object.__new__
-    # Constraint schedules are ineligible, so the duty cycle is fixed
-    # for the whole run (the scalar loop re-reads an unchanged value).
+    # Only a constraint change can move the duty cycle; it is re-read
+    # at each schedule boundary.
     duty = machine.throttle.duty
 
     table = config.table
@@ -329,28 +399,14 @@ def _run_dynamic(st, tel, checkpointer, resumed):
 
     gov_states = tuple(governor.table)
     gtype = type(governor)
-    if gtype is PerformanceMaximizer:
-        mode = 0
-        proj_rows = governor.projection_table().rows
-        budget_w = governor._limit - governor._guardband
-        raise_window = governor._raise_window
-        raise_streak = governor._raise_streak
-        pending = governor._pending_raise
-        pending_index = (
-            state_index[pending] if pending is not None else None
-        )
-    elif gtype is PowerSave:
-        mode = 1
-        ps_proj = governor.projection_table()
-        floor_plus_eps = governor._floor + 1e-12
-        dcu_threshold = governor._model.dcu_threshold
-        fastest_mhz = ps_proj.fastest_mhz
-        fast_factor = ps_proj.fast_factor
-        ascending_rows = ps_proj.ascending
-    else:  # DemandBasedSwitching
-        mode = 2
-        up_threshold = governor._up
-        down_threshold = governor._down
+    mode = (
+        0 if gtype is PerformanceMaximizer else 1 if gtype is PowerSave else 2
+    )
+    (
+        proj_rows, budget_w, raise_window, raise_streak, pending_index,
+        floor_plus_eps, dcu_threshold, fastest_mhz, fast_factor,
+        ascending_rows, up_threshold, down_threshold,
+    ) = _decision_inputs(governor, mode, state_index)
 
     # Machine / PMU state -> locals (written back at sync points).
     time_s = machine._time_s
@@ -428,8 +484,20 @@ def _run_dynamic(st, tel, checkpointer, resumed):
         m_state0 = sense._rng.bit_generator.state
 
     # Current-p-state residency accumulates in a local; flushed to the
-    # dict on p-state change and at every sync point.
+    # dict on p-state change and at every sync point -- but only once a
+    # tick has run at that p-state (``tick_index > res_from``), so a
+    # p-state requested on the final tick gets no entry, as in the
+    # scalar loop.
     res_acc = residency.get(freq, 0.0)
+    res_from = tick_index
+
+    instrumented = tel is not None and tel.enabled
+    if instrumented:
+        acct = _TickTelemetry(tel, st, resumed)
+        events = acct.events
+        clock = time.perf_counter
+    two_events = len(sampler._events) == 2
+    next_change_s = _next_change_s(st)
 
     # Unpacked fields of the template the loop last touched.
     t_cur = None
@@ -473,7 +541,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 meter._bucket_time_s = bucket_t
                 sampler._elapsed_s = sampler_elapsed
                 sampler._last = pmu.snapshot()
-                residency[freq] = res_acc
+                if tick_index > res_from:
+                    residency[freq] = res_acc
                 if mode == 0:
                     governor._raise_streak = raise_streak
                     governor._pending_raise = (
@@ -484,8 +553,31 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 st.instructions = instructions
                 st.true_energy = true_energy
                 st.tick_index = tick_index
+                if instrumented:
+                    acct.flush()
                 checkpointer.save(tick_index, st, tel)
                 next_checkpoint = tick_index + interval
+            if time_s >= next_change_s:
+                # A due constraint change: hysteresis -> governor,
+                # deliver (PM's set_power_limit resets it), re-read.
+                if mode == 0:
+                    governor._raise_streak = raise_streak
+                    governor._pending_raise = (
+                        gov_states[pending_index]
+                        if pending_index is not None
+                        else None
+                    )
+                next_change_s = _deliver_due(st, time_s, tel)
+                (
+                    proj_rows, budget_w, raise_window, raise_streak,
+                    pending_index, floor_plus_eps, dcu_threshold,
+                    fastest_mhz, fast_factor, ascending_rows,
+                    up_threshold, down_threshold,
+                ) = _decision_inputs(governor, mode, state_index)
+                duty = machine.throttle.duty
+
+            if instrumented:
+                t0 = clock()
 
             # ---- machine tick (mirrors Machine.step / run_block) ----
             start_time = time_s
@@ -773,10 +865,32 @@ def _run_dynamic(st, tel, checkpointer, resumed):
             mean_power = energy / elapsed if elapsed > 0 else 0.0
 
             # ---- sampler (mirrors CounterSampler.sample) ----
+            if instrumented:
+                t1 = clock()
             c0 = (pmc0 - pmc0_start) & _M40
             cyc = (cycles_int - cycles_start) & _M40
             r0 = c0 / cyc if cyc > 0 else 0.0
+            if two_events:
+                c1 = (pmc1 - pmc1_start) & _M40
+                r1 = c1 / cyc if cyc > 0 else 0.0
             sampler_elapsed += elapsed
+            if instrumented:
+                if events:
+                    tel.emit(
+                        sample_event(
+                            sampler_elapsed,
+                            CounterSample(
+                                interval_s=elapsed,
+                                cycles=float(cyc),
+                                rates=(
+                                    {event0: r0, event1: r1}
+                                    if two_events
+                                    else {event0: r0}
+                                ),
+                            ),
+                        )
+                    )
+                t2 = clock()
 
             # ---- accounting (mirrors the scalar loop body) ----
             instructions += tick_instr
@@ -817,8 +931,6 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                     pending_index = None
                     target_index = current_index
             elif mode == 1:  # PowerSave
-                c1 = (pmc1 - pmc1_start) & _M40
-                r1 = c1 / cyc if cyc > 0 else 0.0
                 dcu_per_ipc = (r1 / r0) if r0 > 0 else _INF
                 core_bound = dcu_per_ipc < dcu_threshold
                 if core_bound:
@@ -859,6 +971,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
             # ---- actuate (through the real driver: MSR writes, DVFS
             # dead time and transition counts stay checkpoint-exact) ----
             if target_index != current_index:
+                if instrumented:
+                    t3 = clock()
                 residency[freq] = res_acc
                 driver.set_pstate(gov_states[target_index])
                 pstate = dvfs.current
@@ -868,9 +982,38 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 freq_1e6 = freq * 1e6
                 dead_total = dvfs.total_dead_time_s
                 res_acc = residency.get(freq, 0.0)
+                res_from = tick_index + 1
+
+            if instrumented:
+                # ---- telemetry (the scalar loop's accounting helper) ----
+                t4 = clock()
+                changed = freq != tick_freq
+                if not changed:  # decide ran until now; no actuate span
+                    t3 = t4
+                    t4 = None
+                acct.phases(t0, t1, t2, t3, t4)
+                if mode == 0:
+                    scale, alpha, beta = row[target_index]
+                    estimate = alpha * (r0 * scale) + beta
+                else:
+                    estimate = None
+                acct.tick(
+                    time_s,
+                    tick_freq,
+                    elapsed,
+                    measured,
+                    mean_power,
+                    tick_instr,
+                    duty,
+                    None,
+                    tick_freq,
+                    gov_states[target_index].frequency_mhz,
+                    changed,
+                    estimate,
+                )
 
             if keep_trace:
-                if mode == 1:
+                if two_events:
                     rates = {event0: r0, event1: r1}
                 else:
                     rates = {event0: r0}
@@ -918,7 +1061,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
         meter._bucket_time_s = bucket_t
         sampler._elapsed_s = sampler_elapsed
         sampler._last = pmu.snapshot()
-        residency[freq] = res_acc
+        if tick_index > res_from:
+            residency[freq] = res_acc
         if mode == 0:
             governor._raise_streak = raise_streak
             governor._pending_raise = (
@@ -926,6 +1070,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 if pending_index is not None
                 else None
             )
+        if instrumented:
+            acct.flush()
 
     st.instructions = instructions
     st.true_energy = true_energy

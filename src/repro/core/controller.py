@@ -24,6 +24,15 @@ error distribution.  With ``telemetry=None`` (the default) every
 instrumentation block is skipped behind a single pre-computed branch,
 so an uninstrumented run costs the same as before the subsystem existed.
 
+Two loops run a controller: the fused kernel in
+:mod:`repro.core.blockloop` for the configurations it can replicate
+bit for bit (telemetry and constraint schedules included), and the
+scalar reference loop here for everything else.  Both deliver
+scheduled changes through :func:`_deliver_due` and account each tick's
+telemetry through :class:`_TickTelemetry`, so the two cannot drift
+apart; a run sent to the scalar loop with telemetry on is counted
+under ``controller.fast_path_fallback.<reason>``.
+
 When a :class:`~repro.core.resilience.ResilienceConfig` is supplied the
 loop is *hardened*: counter samples are validated and held over across
 dropped/garbled reads, measured power is outlier-filtered, failed
@@ -38,6 +47,7 @@ bit-for-bit identical to an unwrapped one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
@@ -75,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.adaptation.manager import AdaptationManager
     from repro.faults.injector import FaultInjector
 from repro.telemetry.metrics import (
+    FALLBACK_COUNTER,
     POWER_BUCKETS_W,
     PROJECTION_ERROR_BUCKETS_W,
 )
@@ -525,11 +536,188 @@ def _run_loop(st: _RunState, tel, checkpointer=None, resumed=False) -> RunResult
     """
     from repro.core import blockloop
 
-    if blockloop.eligible(st, tel):
+    reason = blockloop.fallback_reason(st, tel)
+    if reason is None:
         return blockloop.run_fast(
             st, tel, checkpointer=checkpointer, resumed=resumed
         )
+    if tel is not None and tel.enabled and not resumed:
+        # Counted once per run, so a resumed run is not counted twice.
+        tel.metrics.counter(f"{FALLBACK_COUNTER}.{reason}").inc()
     return _scalar_loop(st, tel, checkpointer=checkpointer, resumed=resumed)
+
+
+def _deliver_due(st: _RunState, now_s: float, tel) -> float:
+    """Deliver every scheduled change due at ``now_s`` (both loops).
+
+    Applies the changes to the governor in schedule order, counts them
+    on ``st.delivered`` and publishes one ``ConstraintChanged`` each.
+    Returns when the next change falls due (inf once none is left), so
+    callers consult the schedule again only once the clock reaches it.
+    """
+    for change in st.schedule.due(now_s, st.delivered):
+        change.apply(st.governor)
+        st.delivered += 1
+        if tel is not None and tel.enabled:
+            tel.emit(ConstraintChanged(time_s=now_s, label=change.label))
+    return _next_change_s(st)
+
+
+def _next_change_s(st: _RunState) -> float:
+    """When ``st``'s next scheduled change falls due (inf: never)."""
+    schedule = st.schedule
+    if schedule is None:
+        return math.inf
+    return schedule.next_time_s(st.delivered)
+
+
+class _TickTelemetry:
+    """Per-tick telemetry accounting, shared by the scalar and fused loops.
+
+    One instance per run leg.  :meth:`tick` folds one completed tick into
+    the metrics registry and publishes its decision/transition/tick
+    events; both loops call it with the same values in the same order,
+    so counters, histograms and the event stream cannot drift apart.
+
+    Histogram observations are buffered and folded in by :meth:`flush`
+    (same values, same order, so bit-identical); callers flush before a
+    checkpoint pickles the registry and when the loop exits.  Events are
+    only built when the bus had subscribers at the start of the leg --
+    with none, publishing drops them anyway.
+    """
+
+    def __init__(self, tel: TelemetryRecorder, st: _RunState, resumed: bool):
+        metrics = tel.metrics
+        governor = st.governor
+        self._tel = tel
+        self._st = st
+        self._metrics = metrics
+        self._governor = governor
+        self._name = governor.name
+        self.events = bool(tel.bus.subscribers)
+        # Get-or-create by name: on a resumed run these handles come out
+        # of the restored registry with their accumulated values intact.
+        self._ticks = metrics.counter("controller.ticks")
+        self._transitions = metrics.counter("controller.transitions")
+        self._violations = metrics.counter("controller.limit_violations")
+        self._power_hist = metrics.histogram(
+            "power.measured_w", POWER_BUCKETS_W
+        )
+        self._error_hist = metrics.histogram(
+            "projection.error_w", PROJECTION_ERROR_BUCKETS_W
+        )
+        self._power_w: List[float] = []
+        self._error_w: List[float] = []
+        self._residency: Dict[float, object] = {}
+        self._phases = None
+        self._actuate = None
+        if not resumed:
+            tel.emit(
+                RunStarted(
+                    time_s=st.machine.now_s,
+                    workload=st.workload_name,
+                    governor=self._name,
+                )
+            )
+
+    def tick(
+        self,
+        time_s: float,
+        freq: float,
+        duration_s: float,
+        measured_w: float,
+        true_w: float,
+        instructions: float,
+        duty: float,
+        temperature_c: float | None,
+        current_mhz: float,
+        target_mhz: float,
+        changed: bool,
+        estimate_w: float | None,
+    ) -> None:
+        """Account one tick; ``estimate_w`` predicts the next tick's power.
+
+        ``estimate_w=None`` keeps the previous estimate (the governor
+        cannot estimate, or had no sample to estimate from).
+        """
+        self._ticks.inc()
+        counter = self._residency.get(freq)
+        if counter is None:
+            counter = self._residency[freq] = self._metrics.counter(
+                f"pstate.residency_s.{freq:.0f}"
+            )
+        counter.inc(duration_s)
+        self._power_w.append(measured_w)
+        limit = getattr(self._governor, "power_limit_w", None)
+        if limit is not None and measured_w > limit:
+            self._violations.inc()
+        st = self._st
+        # The estimate made last tick predicted this tick's power.
+        if st.last_estimate_w is not None:
+            self._error_w.append(st.last_estimate_w - measured_w)
+        if changed:
+            self._transitions.inc()
+        if estimate_w is not None:
+            st.last_estimate_w = estimate_w
+        if self.events:
+            emit = self._tel.emit
+            emit(
+                DecisionMade(
+                    time_s=time_s,
+                    governor=self._name,
+                    current_mhz=current_mhz,
+                    target_mhz=target_mhz,
+                )
+            )
+            if changed:
+                emit(
+                    PStateTransition(
+                        time_s=time_s, from_mhz=current_mhz, to_mhz=target_mhz
+                    )
+                )
+            emit(
+                TickCompleted(
+                    time_s=time_s,
+                    frequency_mhz=freq,
+                    measured_power_w=measured_w,
+                    true_power_w=true_w,
+                    instructions=instructions,
+                    duty=duty,
+                    temperature_c=temperature_c,
+                )
+            )
+
+    def phases(self, t0, t1, t2, t3, t4) -> None:
+        """Record one tick's phase spans from ``perf_counter`` stamps.
+
+        ``execute`` runs t0->t1, ``sample`` t1->t2, ``decide`` t2->t3 and
+        ``actuate`` t3->t4 (``t4=None``: no transition).  Paths and counts
+        match the scalar loop's ``tel.span`` context managers; only the
+        wall-clock values differ, as they do run to run.
+        """
+        stats = self._phases
+        if stats is None:
+            spans = self._tel.spans
+            stats = self._phases = tuple(
+                spans.stats_under(name)
+                for name in ("execute", "sample", "decide")
+            )
+        stats[0].record(t1 - t0)
+        stats[1].record(t2 - t1)
+        stats[2].record(t3 - t2)
+        if t4 is not None:
+            if self._actuate is None:
+                self._actuate = self._tel.spans.stats_under("actuate")
+            self._actuate.record(t4 - t3)
+
+    def flush(self) -> None:
+        """Fold the buffered histogram observations into the registry."""
+        if self._power_w:
+            self._power_hist.observe_many(self._power_w)
+            self._power_w.clear()
+        if self._error_w:
+            self._error_hist.observe_many(self._error_w)
+            self._error_w.clear()
 
 
 def _scalar_loop(
@@ -540,14 +728,14 @@ def _scalar_loop(
     Must stay operation-for-operation identical to the historical inline
     loop: RNG draws, float accumulation order and telemetry side effects
     may not change, or checkpointed runs stop being bit-identical to
-    uncheckpointed ones.
+    uncheckpointed ones.  Schedule delivery and per-tick telemetry go
+    through the helpers the fused kernel calls too.
     """
     machine = st.machine
     governor = st.governor
     meter = st.meter
     sampler = st.sampler
     driver = st.driver
-    schedule = st.schedule
     rt = st.rt
     injector = st.injector
     adapt = st.adapt
@@ -562,38 +750,17 @@ def _scalar_loop(
     # plain fast path must not pay for the hardened one.
     track_temp = hardened or injecting or instrumented or keep_trace
 
-    delivered = st.delivered
     residency = st.residency
     trace = st.trace
     instructions = st.instructions
     true_energy = st.true_energy
     sample_index = st.sample_index
     tick_index = st.tick_index
-    last_estimate_w = st.last_estimate_w
+    next_change_s = _next_change_s(st)
 
     if instrumented:
-        metrics = tel.metrics
-        # Get-or-create by name: on a resumed run these handles come out
-        # of the restored registry with their accumulated values intact.
-        ticks_counter = metrics.counter("controller.ticks")
-        transitions_counter = metrics.counter("controller.transitions")
-        violations_counter = metrics.counter("controller.limit_violations")
-        power_hist = metrics.histogram(
-            "power.measured_w", POWER_BUCKETS_W
-        )
-        error_hist = metrics.histogram(
-            "projection.error_w", PROJECTION_ERROR_BUCKETS_W
-        )
-        residency_counters: Dict[float, object] = {}
+        acct = _TickTelemetry(tel, st, resumed)
         can_estimate = hasattr(governor, "estimate_power")
-        if not resumed:
-            tel.emit(
-                RunStarted(
-                    time_s=machine.now_s,
-                    workload=workload_name,
-                    governor=governor.name,
-                )
-            )
 
     if checkpointer is not None:
         interval = checkpointer.interval_ticks
@@ -604,173 +771,137 @@ def _scalar_loop(
             tick_index + interval
         )
 
-    while not machine.finished:
-        if machine.now_s > max_seconds:
-            raise ExperimentError(
-                f"{workload_name} under {governor.name} exceeded "
-                f"{max_seconds}s of simulated time"
-            )
-        if checkpointer is not None and tick_index >= next_checkpoint:
-            st.delivered = delivered
-            st.instructions = instructions
-            st.true_energy = true_energy
-            st.tick_index = tick_index
-            st.last_estimate_w = last_estimate_w
-            checkpointer.save(tick_index, st, tel)
-            next_checkpoint = tick_index + interval
-        if schedule is not None:
-            for change in schedule.due(machine.now_s, delivered):
-                change.apply(governor)
-                delivered += 1
+    try:
+        while not machine.finished:
+            if machine.now_s > max_seconds:
+                raise ExperimentError(
+                    f"{workload_name} under {governor.name} exceeded "
+                    f"{max_seconds}s of simulated time"
+                )
+            if checkpointer is not None and tick_index >= next_checkpoint:
+                st.instructions = instructions
+                st.true_energy = true_energy
+                st.tick_index = tick_index
                 if instrumented:
-                    tel.emit(
-                        ConstraintChanged(
-                            time_s=machine.now_s, label=change.label
-                        )
-                    )
+                    acct.flush()
+                checkpointer.save(tick_index, st, tel)
+                next_checkpoint = tick_index + interval
+            if machine.now_s >= next_change_s:
+                next_change_s = _deliver_due(st, machine.now_s, tel)
 
-        if instrumented:
-            with tel.span("execute"):
+            if instrumented:
+                with tel.span("execute"):
+                    record = machine.step()
+                with tel.span("sample"):
+                    counter_sample = (
+                        rt.acquire_sample(sampler, record.duration_s)
+                        if hardened
+                        else sampler.sample(record.duration_s)
+                    )
+            else:
                 record = machine.step()
-            with tel.span("sample"):
                 counter_sample = (
                     rt.acquire_sample(sampler, record.duration_s)
                     if hardened
                     else sampler.sample(record.duration_s)
                 )
-        else:
-            record = machine.step()
-            counter_sample = (
-                rt.acquire_sample(sampler, record.duration_s)
-                if hardened
-                else sampler.sample(record.duration_s)
+            instructions += record.instructions
+            true_energy += record.energy_j
+            freq = record.pstate.frequency_mhz
+            residency[freq] = residency.get(freq, 0.0) + record.duration_s
+
+            # Measured-power feedback for adaptive governors (the meter
+            # closes samples in lockstep with 10 ms ticks).
+            measured = (
+                meter.last_sample.watts
+                if meter.sample_count > sample_index
+                else record.mean_power_w
             )
-        instructions += record.instructions
-        true_energy += record.energy_j
-        freq = record.pstate.frequency_mhz
-        residency[freq] = residency.get(freq, 0.0) + record.duration_s
-
-        # Measured-power feedback for adaptive governors (the meter
-        # closes samples in lockstep with 10 ms ticks).
-        measured = (
-            meter.last_sample.watts
-            if meter.sample_count > sample_index
-            else record.mean_power_w
-        )
-        if hardened:
-            measured = rt.filter_power(measured)
-
-        if track_temp:
-            temperature = record.temperature_c
-            if injecting:
-                temperature = injector.observe_temperature(
-                    temperature, machine.now_s
-                )
             if hardened:
-                temperature = rt.observe_temperature(temperature)
+                measured = rt.filter_power(measured)
 
-        current = machine.current_pstate
-        if hardened and (rt.degraded or counter_sample is None):
-            # Fail-safe governor (closed-loop control abandoned) or
-            # no good sample yet (hold rather than guess).
-            target = rt.safe_pstate if rt.degraded else current
-        elif instrumented:
-            with tel.span("decide"):
-                target = governor.decide(counter_sample, current)
-        else:
-            target = governor.decide(counter_sample, current)
-        if target != current:
-            if instrumented:
-                with tel.span("actuate"):
-                    changed = PowerManagementController._actuate(
-                        rt, driver, target
+            if track_temp:
+                temperature = record.temperature_c
+                if injecting:
+                    temperature = injector.observe_temperature(
+                        temperature, machine.now_s
                     )
-            elif hardened:
-                rt.actuate(driver, target)
+                if hardened:
+                    temperature = rt.observe_temperature(temperature)
+
+            current = machine.current_pstate
+            if hardened and (rt.degraded or counter_sample is None):
+                # Fail-safe governor (closed-loop control abandoned) or
+                # no good sample yet (hold rather than guess).
+                target = rt.safe_pstate if rt.degraded else current
+            elif instrumented:
+                with tel.span("decide"):
+                    target = governor.decide(counter_sample, current)
             else:
-                driver.set_pstate(target)
-        elif instrumented:
-            changed = False
-        if hasattr(governor, "observe_power"):
-            governor.observe_power(measured)
-        # Online adaptation: fold the interval that just executed
-        # into the shadow score / RLS fit.  Any model swap decided
-        # here takes effect at the *next* control decision.
-        if adapting and counter_sample is not None:
-            adapt.observe(counter_sample, current, measured, machine.now_s)
+                target = governor.decide(counter_sample, current)
+            if target != current:
+                if instrumented:
+                    with tel.span("actuate"):
+                        changed = PowerManagementController._actuate(
+                            rt, driver, target
+                        )
+                elif hardened:
+                    rt.actuate(driver, target)
+                else:
+                    driver.set_pstate(target)
+            elif instrumented:
+                changed = False
+            if hasattr(governor, "observe_power"):
+                governor.observe_power(measured)
+            # Online adaptation: fold the interval that just executed
+            # into the shadow score / RLS fit.  Any model swap decided
+            # here takes effect at the *next* control decision.
+            if adapting and counter_sample is not None:
+                adapt.observe(counter_sample, current, measured, machine.now_s)
 
-        if instrumented:
-            ticks_counter.inc()
-            freq_counter = residency_counters.get(freq)
-            if freq_counter is None:
-                freq_counter = residency_counters[freq] = metrics.counter(
-                    f"pstate.residency_s.{freq:.0f}"
+            if instrumented:
+                acct.tick(
+                    machine.now_s,
+                    freq,
+                    record.duration_s,
+                    measured,
+                    record.mean_power_w,
+                    record.instructions,
+                    record.duty,
+                    temperature,
+                    current.frequency_mhz,
+                    target.frequency_mhz,
+                    changed,
+                    governor.estimate_power(counter_sample, current, target)
+                    if can_estimate and counter_sample is not None
+                    else None,
                 )
-            freq_counter.inc(record.duration_s)
-            power_hist.observe(measured)
-            limit = getattr(governor, "power_limit_w", None)
-            if limit is not None and measured > limit:
-                violations_counter.inc()
-            # The estimate made last tick predicted this tick's power.
-            if last_estimate_w is not None:
-                error_hist.observe(last_estimate_w - measured)
-            tel.emit(
-                DecisionMade(
-                    time_s=machine.now_s,
-                    governor=governor.name,
-                    current_mhz=current.frequency_mhz,
-                    target_mhz=target.frequency_mhz,
-                )
-            )
-            if changed:
-                transitions_counter.inc()
-                tel.emit(
-                    PStateTransition(
+
+            if keep_trace:
+                trace.append(
+                    TraceRow(
                         time_s=machine.now_s,
-                        from_mhz=current.frequency_mhz,
-                        to_mhz=target.frequency_mhz,
+                        frequency_mhz=freq,
+                        measured_power_w=measured,
+                        true_power_w=record.mean_power_w,
+                        instructions=record.instructions,
+                        rates=(
+                            dict(counter_sample.rates)
+                            if counter_sample is not None
+                            else {}
+                        ),
+                        duty=record.duty,
+                        temperature_c=temperature,
                     )
                 )
-            if can_estimate and counter_sample is not None:
-                last_estimate_w = governor.estimate_power(
-                    counter_sample, current, target
-                )
-            tel.emit(
-                TickCompleted(
-                    time_s=machine.now_s,
-                    frequency_mhz=freq,
-                    measured_power_w=measured,
-                    true_power_w=record.mean_power_w,
-                    instructions=record.instructions,
-                    duty=record.duty,
-                    temperature_c=temperature,
-                )
-            )
+            tick_index += 1
+    finally:
+        if instrumented:
+            acct.flush()
 
-        if keep_trace:
-            trace.append(
-                TraceRow(
-                    time_s=machine.now_s,
-                    frequency_mhz=freq,
-                    measured_power_w=measured,
-                    true_power_w=record.mean_power_w,
-                    instructions=record.instructions,
-                    rates=(
-                        dict(counter_sample.rates)
-                        if counter_sample is not None
-                        else {}
-                    ),
-                    duty=record.duty,
-                    temperature_c=temperature,
-                )
-            )
-        tick_index += 1
-
-    st.delivered = delivered
     st.instructions = instructions
     st.true_energy = true_energy
     st.tick_index = tick_index
-    st.last_estimate_w = last_estimate_w
 
     return _finish_run(st, tel)
 

@@ -10,6 +10,7 @@ timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List
 
@@ -53,7 +54,7 @@ class ConstraintSchedule:
 
     def add_power_limit(self, time_s: float, watts: float) -> None:
         """Schedule a PM power-limit change (the SIGUSR analogue)."""
-        if time_s < 0:
+        if not time_s >= 0:
             raise GovernorError("schedule times must be non-negative")
         self.changes.append(
             ScheduledChange(
@@ -66,7 +67,7 @@ class ConstraintSchedule:
 
     def add_performance_floor(self, time_s: float, floor: float) -> None:
         """Schedule a PS performance-floor change."""
-        if time_s < 0:
+        if not time_s >= 0:
             raise GovernorError("schedule times must be non-negative")
         self.changes.append(
             ScheduledChange(
@@ -86,3 +87,13 @@ class ConstraintSchedule:
         repetitions.
         """
         return tuple(c for c in self.changes[delivered:] if c.time_s <= now_s)
+
+    def next_time_s(self, delivered: int) -> float:
+        """When the next undelivered change falls due (inf when none is left).
+
+        :meth:`due` is empty before this time, so run loops only need to
+        consult the schedule once the clock reaches it.
+        """
+        return min(
+            (c.time_s for c in self.changes[delivered:]), default=math.inf
+        )

@@ -82,6 +82,21 @@ class CounterSample:
         return self.dcu / self.ipc
 
 
+def sample_event(time_s: float, sample: CounterSample) -> SampleTaken:
+    """The telemetry event for one closed counter interval.
+
+    ``time_s`` is the sampler's running elapsed time (its clock, not the
+    machine's); rates are keyed by event name so the event is JSON-safe.
+    """
+    return SampleTaken(
+        time_s=time_s,
+        interval_s=sample.interval_s,
+        cycles=sample.cycles,
+        effective_frequency_mhz=sample.effective_frequency_mhz,
+        rates={event.name: rate for event, rate in sample.rates.items()},
+    )
+
+
 @dataclass(frozen=True)
 class CounterSampleBlock:
     """Array-valued counterpart of :class:`CounterSample` for K ticks.
@@ -186,15 +201,7 @@ class CounterSampler:
         self._elapsed_s += interval_s
         tel = self._telemetry
         if tel is not None and tel.enabled:
-            tel.emit(
-                SampleTaken(
-                    time_s=self._elapsed_s,
-                    interval_s=interval_s,
-                    cycles=cycles,
-                    effective_frequency_mhz=sample.effective_frequency_mhz,
-                    rates={event.name: rate for event, rate in rates.items()},
-                )
-            )
+            tel.emit(sample_event(self._elapsed_s, sample))
         return sample
 
     def consume_block(self, block) -> CounterSampleBlock:
@@ -239,21 +246,7 @@ class CounterSampler:
         for i in range(n):
             self._elapsed_s += intervals[i]
             if emit:
-                sample = out.sample(i)
-                tel.emit(
-                    SampleTaken(
-                        time_s=self._elapsed_s,
-                        interval_s=intervals[i],
-                        cycles=sample.cycles,
-                        effective_frequency_mhz=(
-                            sample.effective_frequency_mhz
-                        ),
-                        rates={
-                            event.name: rate
-                            for event, rate in sample.rates.items()
-                        },
-                    )
-                )
+                tel.emit(sample_event(self._elapsed_s, out.sample(i)))
         return out
 
 
@@ -310,16 +303,5 @@ class MultiplexedCounterSampler:
         self._elapsed_s += interval_s
         tel = self._telemetry
         if tel is not None and tel.enabled:
-            tel.emit(
-                SampleTaken(
-                    time_s=self._elapsed_s,
-                    interval_s=interval_s,
-                    cycles=sample.cycles,
-                    effective_frequency_mhz=sample.effective_frequency_mhz,
-                    rates={
-                        event.name: rate
-                        for event, rate in sample.rates.items()
-                    },
-                )
-            )
+            tel.emit(sample_event(self._elapsed_s, sample))
         return sample

@@ -14,7 +14,8 @@ metric type raises :class:`~repro.errors.TelemetryError`.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from bisect import bisect_left
+from typing import Dict, Iterable, Sequence
 
 from repro.errors import TelemetryError
 
@@ -27,6 +28,10 @@ POWER_BUCKETS_W: tuple[float, ...] = tuple(float(w) for w in range(2, 31, 2))
 PROJECTION_ERROR_BUCKETS_W: tuple[float, ...] = tuple(
     round(-4.0 + 0.5 * i, 2) for i in range(17)
 )
+
+#: Counter-name prefix for runs that took the scalar loop instead of the
+#: fused kernel: one counter per ``repro.core.blockloop.fallback_reason``.
+FALLBACK_COUNTER = "controller.fast_path_fallback"
 
 
 class Counter:
@@ -101,18 +106,38 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.bucket_counts[index] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record ``values`` in order, exactly as repeated :meth:`observe`.
+
+        Loops that buffer a block's observations fold them in with one
+        call; the running sum adds in the same order, so the result is
+        bit-identical to observing each value as it happened.
+        """
+        buckets = self.buckets
+        counts = self.bucket_counts
+        overflow = len(buckets)
+        total = self.sum
+        low = self.min
+        high = self.max
+        n = 0
+        for value in values:
+            # First bound >= value; NaN compares false everywhere and
+            # lands in the overflow bucket.
+            counts[
+                bisect_left(buckets, value) if value == value else overflow
+            ] += 1
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+            n += 1
+        self.count += n
+        self.sum = total
+        self.min = low
+        self.max = high
 
     @property
     def mean(self) -> float:

@@ -5,7 +5,7 @@
 ``events.jsonl``, ``trace.csv``, ``metrics.json`` -- cross-checks the
 three views of the same run, and renders a digest: runs and their
 totals, event counts by kind, transition/reallocation activity, trace
-statistics and governor-overhead spans.
+statistics, fast-path fallbacks and governor-overhead spans.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.telemetry.exporters import (
     METRICS_FILENAME,
     TRACE_FILENAME,
 )
+from repro.telemetry.metrics import FALLBACK_COUNTER
 
 
 @dataclass
@@ -217,6 +218,18 @@ def render_report(directory: str | os.PathLike) -> str:
         lines.append(f"metrics: {ticks:.0f} ticks"
                      + (f", {violations:.0f} limit violations"
                         if violations is not None else ""))
+        lines.append("")
+
+    prefix = FALLBACK_COUNTER + "."
+    fallbacks = {
+        name[len(prefix):]: count
+        for name, count in counters.items()
+        if name.startswith(prefix)
+    }
+    if fallbacks:
+        lines.append("fast-path fallbacks (runs on the scalar loop):")
+        for reason, count in sorted(fallbacks.items()):
+            lines.append(f"  {reason:16} {count:.0f}")
         lines.append("")
 
     if report.spans:

@@ -110,6 +110,21 @@ class SpanRecorder:
             stats = self._stats[path] = SpanStats(path)
         stats.record(elapsed_s)
 
+    def stats_under(self, name: str) -> SpanStats:
+        """Get or create the aggregate for ``name`` under the current path.
+
+        For loops that time a phase with their own clock reads instead of
+        a context manager: each ``record(elapsed_s)`` on the result counts
+        as one completed ``span(name)`` at the same path.  Create it only
+        when a span is about to be recorded, so paths that never ran stay
+        out of the snapshot.
+        """
+        path = "/".join(self._stack + [name])
+        stats = self._stats.get(path)
+        if stats is None:
+            stats = self._stats[path] = SpanStats(path)
+        return stats
+
     def stats(self, path: str) -> SpanStats:
         """Aggregate stats for ``path``; KeyError if never recorded."""
         return self._stats[path]

@@ -9,7 +9,7 @@ from repro.core.governors.unconstrained import FixedFrequency
 from repro.core.limits import ConstraintSchedule
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, GovernorError
 from repro.platform.machine import Machine, MachineConfig
 
 MODEL = LinearPowerModel.paper_model()
@@ -132,6 +132,23 @@ class TestSchedule:
         result = controller.run(long_core_workload, schedule=schedule)
         late = [r for r in result.trace if r.time_s > 0.06]
         assert min(r.frequency_mhz for r in late) <= 1000.0
+
+    @pytest.mark.parametrize("time_s", [-0.01, float("nan")])
+    def test_rejects_times_outside_the_run_clock(self, time_s):
+        schedule = ConstraintSchedule()
+        with pytest.raises(GovernorError):
+            schedule.add_power_limit(time_s, 12.0)
+        with pytest.raises(GovernorError):
+            schedule.add_performance_floor(time_s, 0.8)
+
+    def test_next_time_is_the_earliest_undelivered_change(self):
+        schedule = ConstraintSchedule()
+        assert schedule.next_time_s(0) == float("inf")
+        schedule.add_power_limit(0.3, 12.0)
+        schedule.add_power_limit(0.1, 14.0)
+        assert schedule.next_time_s(0) == 0.1
+        assert schedule.next_time_s(1) == 0.3
+        assert schedule.next_time_s(2) == float("inf")
 
 
 class TestResultMetrics:

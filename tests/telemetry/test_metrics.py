@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TelemetryError
 from repro.telemetry import MetricsRegistry
@@ -49,6 +50,44 @@ class TestHistogram:
         assert hist.min == 0.5
         assert hist.max == 99.0
         assert hist.mean == pytest.approx((0.5 + 1.0 + 1.5 + 2.5 + 99.0) / 5)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.floats(-10.0, 40.0) | st.sampled_from(
+                [float("inf"), float("-inf"), float("nan"), -0.0, 2.0]
+            ),
+            max_size=40,
+        ),
+        st.integers(0, 40),
+    )
+    def test_observe_many_matches_linear_scan(self, values, split):
+        """Buffered observation equals observing one value at a time
+        with the first-bound-that-fits linear scan, in any chunking."""
+        bounds = POWER_BUCKETS_W
+        counts = [0] * (len(bounds) + 1)
+        total, low, high = 0.0, float("inf"), float("-inf")
+        for value in values:
+            index = len(bounds)
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    index = i
+                    break
+            counts[index] += 1
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        hist = Histogram("h", bounds)
+        hist.observe_many(values[:split])
+        for value in values[split:split + 1]:
+            hist.observe(value)
+        hist.observe_many(values[split + 1:])
+        assert hist.bucket_counts == counts
+        assert hist.count == len(values)
+        assert repr(hist.sum) == repr(total)  # NaN-safe, bit-exact
+        assert (hist.min, hist.max) == (low, high)
 
     def test_buckets_must_ascend(self):
         with pytest.raises(TelemetryError):

@@ -11,6 +11,7 @@ from repro.telemetry import (
     load_report,
     render_report,
 )
+from repro.telemetry.metrics import FALLBACK_COUNTER
 from repro.telemetry.bus import (
     BudgetReallocated,
     RunFinished,
@@ -152,6 +153,23 @@ class TestRenderReport:
         assert "3 ticks" in text
         assert "budget reallocations" in text
         assert "a=18.0W" in text
+
+    def test_lists_fast_path_fallbacks(self, tmp_path):
+        recorder = TelemetryRecorder()
+        sink = TelemetryDirectory(tmp_path / "t")
+        sink.attach(recorder)
+        recorder.metrics.counter(f"{FALLBACK_COUNTER}.faults").inc(3)
+        recorder.metrics.counter(f"{FALLBACK_COUNTER}.forced").inc()
+        sink.finalize(recorder)
+        text = render_report(tmp_path / "t")
+        assert "fast-path fallbacks" in text
+        lines = text.splitlines()
+        assert any(line.split() == ["faults", "3"] for line in lines)
+        assert any(line.split() == ["forced", "1"] for line in lines)
+
+    def test_no_fallback_section_without_fallbacks(self, tmp_path):
+        _write_directory(tmp_path / "t")
+        assert "fast-path fallbacks" not in render_report(tmp_path / "t")
 
     def test_tolerates_partial_directories(self, tmp_path):
         # Only an event log: trace/metrics are optional.
