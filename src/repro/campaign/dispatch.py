@@ -1,11 +1,13 @@
-"""Lease-based cell dispatch: heartbeats, reaping, bounded re-issue.
+"""The worker pool: lease-based cell dispatch with heartbeats and reaping.
 
-The campaign pool replaces the :class:`~repro.exec.runner.
-ParallelRunner`'s fire-and-forget claims with *leases*.  A worker that
-picks up a cell sends a lease message and then keeps the lease alive
-from a background heartbeat thread while the cell executes; the
-coordinator tracks one expiry deadline per lease and treats three
-distinct conditions as a failed attempt:
+:class:`LeaseDispatcher` is the one process pool in the repo.  The
+campaign engine drives it with a result store, and
+:class:`~repro.exec.runner.ParallelRunner` drives it with serial
+semantics for ``open_session(workers=N)``.  A worker that picks up a
+cell sends a lease message, and a per-worker heartbeat thread keeps
+that lease alive while the cell executes; the coordinator tracks one
+expiry deadline per lease and treats three distinct conditions as a
+failed attempt:
 
 * ``crashed`` -- the leaseholder process died (SIGKILL, OOM, segfault);
 * ``expired`` -- the leaseholder stopped heartbeating for a full lease
@@ -27,12 +29,22 @@ bus.LeaseExpired`, :class:`~repro.telemetry.bus.CellQuarantined`) with
 wall-clock timestamps relative to dispatch start, mirroring
 :class:`~repro.supervise.Supervisor`'s convention.
 
-Like the parallel runner, workers report over per-worker pipes (a
+Workers report over per-worker pipes, not a shared queue: a
 ``Connection.send`` completes in the calling thread, so a lease is
-observable even if the worker is SIGKILLed on the next instruction),
-and the coordinator closes the dequeue-to-lease hole with an idle
-re-issue sweep -- safe because cells are deterministic and duplicate
-completions are ignored.
+observable even if the worker is SIGKILLed on the next instruction (a
+``multiprocessing.Queue`` put sits in a feeder thread and dies with the
+process).  The one remaining hole -- a worker killed between dequeuing
+an index and sending the lease -- is closed by an idle re-issue sweep,
+which is safe because cells are deterministic and duplicate completions
+are ignored.
+
+Expensive derived artifacts (the trained power model) are primed in the
+parent via :func:`repro.exec.cache.prime_for_plan`, so forked workers
+inherit them and spawned workers receive them in their init payload.
+With a ``telemetry_root`` each worker writes a full
+:class:`~repro.telemetry.exporters.TelemetryDirectory` under
+``<root>/worker-NN/``, which :func:`repro.telemetry.merge.
+merge_worker_directories` folds into the parent directory afterwards.
 """
 
 from __future__ import annotations
@@ -51,13 +63,12 @@ from repro.errors import CampaignError
 from repro.exec import cache
 from repro.exec.core import execute_cell
 from repro.exec.plan import RunPlan
-from repro.exec.runner import default_mp_context
 from repro.supervise import RetryPolicy, is_permanent_error
 from repro.telemetry.bus import CellLeased, CellQuarantined, LeaseExpired
 from repro.telemetry.recorder import TelemetryRecorder
 
-#: Pipe-poll interval; lease expiry and retry release are checked
-#: between quiet polls.
+#: Pipe-poll interval; expired leases and dead workers are swept at
+#: most this far apart, also while messages keep arriving.
 _POLL_S = 0.05
 
 #: Quiet seconds before unleased outstanding cells are re-issued.
@@ -67,31 +78,52 @@ _REISSUE_IDLE_S = 2.0
 _STOP = None
 
 
-def _beat_loop(send, index: int, stop: threading.Event,
-               heartbeat_s: float) -> None:
-    """Heartbeat thread body: renew the lease until the cell finishes."""
+def default_mp_context() -> multiprocessing.context.BaseContext:
+    """Fork when the platform has it (workers inherit warm caches
+    for free), spawn otherwise."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def _beat_loop(conn, lock: threading.Lock, held: list,
+               stop: threading.Event, heartbeat_s: float) -> None:
+    """Heartbeat thread body: renew whichever lease the worker holds.
+
+    Sends nothing while the worker is idle.  The worker changes
+    ``held`` under ``lock`` in the same step as it reports, so no beat
+    follows a cell's ``done`` or ``error``.
+    """
     while not stop.wait(heartbeat_s):
-        try:
-            send(("beat", index, None))
-        except (BrokenPipeError, OSError):  # parent gone; cell will notice
-            return
+        with lock:
+            if held[0] is None:
+                continue
+            try:
+                conn.send(("beat", held[0], None))
+            except (BrokenPipeError, OSError):  # parent gone
+                return
 
 
 def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
-    """Worker loop: lease cells, heartbeat while executing, report.
+    """Worker loop: lease cells, execute them, report.
 
-    Runs in the child process.  All sends share one lock because the
-    heartbeat thread and the main thread write the same pipe.
+    Runs in the child process.  No ambient state is consulted
+    (``use_ambient=False``): the plan carries everything, which is what
+    makes worker results bit-identical to serial execution.  One
+    heartbeat thread lives as long as the worker; both threads write
+    the same pipe, so every send takes one lock.
     """
     cache.install_caches(payload["caches"])
     plan: RunPlan = payload["plan"]
-    heartbeat_s: float = payload["heartbeat_s"]
     hook = payload["cell_hook"]
-    send_lock = threading.Lock()
+    lock = threading.Lock()
+    held: list = [None]  # the leased cell's index; None while idle
 
-    def send(message) -> None:
-        with send_lock:
-            conn.send(message)
+    def send(kind: str, index: int, body, holding) -> None:
+        with lock:
+            held[0] = holding
+            conn.send((kind, index, body))
 
     recorder = None
     sink = None
@@ -108,19 +140,19 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
         recorder = TelemetryRecorder()
         sink = TelemetryDirectory(path)
         sink.attach(recorder)
+    stop = threading.Event()
+    beater = threading.Thread(
+        target=_beat_loop,
+        args=(conn, lock, held, stop, payload["heartbeat_s"]),
+        daemon=True,
+    )
+    beater.start()
     try:
         while True:
             index = task_q.get()
             if index is _STOP:
                 break
-            send(("lease", index, None))
-            stop = threading.Event()
-            beater = threading.Thread(
-                target=_beat_loop,
-                args=(send, index, stop, heartbeat_s),
-                daemon=True,
-            )
-            beater.start()
+            send("lease", index, None, index)
             try:
                 if hook is not None:
                     hook(index)
@@ -134,9 +166,7 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
                     use_ambient=False,
                 )
             except BaseException as error:  # noqa: BLE001 - shipped upward
-                stop.set()
-                beater.join()
-                send((
+                send(
                     "error",
                     index,
                     (
@@ -144,14 +174,15 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
                         traceback.format_exc(),
                         is_permanent_error(error),
                     ),
-                ))
+                    None,
+                )
                 continue
-            stop.set()
-            beater.join()
-            send(("done", index, result))
+            send("done", index, result, None)
     except (BrokenPipeError, OSError):  # parent is gone; die quietly
         pass
     finally:
+        stop.set()
+        beater.join()
         if sink is not None:
             sink.finalize(recorder)
         conn.close()
@@ -206,7 +237,7 @@ class _PoolWorker:
 
 
 class LeaseDispatcher:
-    """Coordinates one campaign's pending cells over a worker pool."""
+    """Coordinates a plan's pending cells over a worker pool."""
 
     def __init__(
         self,
@@ -224,7 +255,7 @@ class LeaseDispatcher:
         max_seconds: float | None = None,
     ):
         if workers < 1:
-            raise CampaignError("campaigns need at least one worker")
+            raise CampaignError("the worker pool needs at least one worker")
         if max_attempts < 1:
             raise CampaignError(
                 f"max_attempts must be >= 1, got {max_attempts}"
@@ -267,29 +298,6 @@ class LeaseDispatcher:
         if self._tel is not None:
             self._tel.bus.publish(event)
 
-    def _prime(self, plan: RunPlan, indices: Sequence[int]) -> None:
-        """Warm the parent caches, tolerating poison cells.
-
-        A cell whose workload spec cannot resolve (the classic poison
-        cell) must fail *in its worker*, where the failure is leased,
-        classified and quarantined -- never abort priming for the
-        healthy rest of the plan.
-        """
-        for index in indices:
-            cell = plan.cells[index]
-            try:
-                if (
-                    isinstance(cell.governor.power_model, str)
-                    and cell.governor.power_model == "trained"
-                ):
-                    cache.trained_power_model(seed=plan.config.seed)
-                from repro.workloads.registry import is_workload_spec
-
-                if is_workload_spec(cell.workload):
-                    cache.spec_workload(cell.workload)
-            except Exception:  # noqa: BLE001 - the worker will report it
-                continue
-
     def _spawn(self, worker_id: int, payload: dict, task_q) -> _PoolWorker:
         parent_conn, child_conn = self.context.Pipe(duplex=False)
         process = self.context.Process(
@@ -323,7 +331,7 @@ class LeaseDispatcher:
         outcome = DispatchOutcome()
         if not indices:
             return outcome
-        self._prime(plan, indices)
+        cache.prime_for_plan(plan)
         payload = {
             "plan": plan,
             "caches": cache.export_caches(),
@@ -353,6 +361,7 @@ class LeaseDispatcher:
             "progressed": False,
         }
         next_id = count
+        sweep_at = 0.0
         idle_s = 0.0
         reissued_idle = False
         try:
@@ -375,6 +384,12 @@ class LeaseDispatcher:
                 by_conn = {w.conn: w for w in workers.values()}
                 for conn in ready:
                     self._drain(by_conn[conn], state)
+                if state["progressed"]:
+                    idle_s = 0.0
+                    reissued_idle = False
+                    if now < sweep_at:
+                        continue  # messages are flowing; sweep per poll
+                sweep_at = now + _POLL_S
                 self._expire_leases(state)
                 next_id = self._reap_crashed(
                     workers, payload, task_q, next_id, state
@@ -387,8 +402,6 @@ class LeaseDispatcher:
                     state["outstanding"].clear()
                     break
                 if state["progressed"]:
-                    idle_s = 0.0
-                    reissued_idle = False
                     continue
                 idle_s += _POLL_S
                 if (
@@ -397,11 +410,15 @@ class LeaseDispatcher:
                     and idle_s >= _REISSUE_IDLE_S
                 ):
                     reissued_idle = self._reissue_unleased(workers, state)
-            for worker in workers.values():
-                if worker.process.is_alive():
-                    task_q.put(_STOP)
-            for worker in workers.values():
-                worker.process.join(timeout=10)
+            if not outcome.interrupted:
+                # Graceful stop.  After an interrupt the leaseholders
+                # may be stuck in a cell; every result is already out
+                # through on_result, so the finally block kills them.
+                for worker in workers.values():
+                    if worker.process.is_alive():
+                        task_q.put(_STOP)
+                for worker in workers.values():
+                    worker.process.join(timeout=10)
         except KeyboardInterrupt:
             outcome.interrupted = True
         finally:
@@ -449,13 +466,14 @@ class LeaseDispatcher:
                     attempt=attempt,
                     expires_at=time.monotonic() + self.lease_s,
                 )
-                self._publish(CellLeased(
-                    time_s=self._now_s(state),
-                    cell=state["plan"].cells[index].label,
-                    index=index,
-                    worker=wid,
-                    attempt=attempt,
-                ))
+                if self._tel is not None:  # the per-cell hot path
+                    self._publish(CellLeased(
+                        time_s=self._now_s(state),
+                        cell=state["plan"].cells[index].label,
+                        index=index,
+                        worker=wid,
+                        attempt=attempt,
+                    ))
             elif kind == "beat":
                 lease = state["leases"].get(index)
                 if lease is not None and lease.worker == wid:
@@ -526,7 +544,7 @@ class LeaseDispatcher:
         return next_id
 
     def _reissue_unleased(self, workers, state: dict) -> bool:
-        """Close the dequeue-to-lease hole, exactly like the runner."""
+        """Close the dequeue-to-lease hole (see the module docstring)."""
         leased = set(state["leases"])
         waiting = set(state["retry_at"])
         candidates = sorted(

@@ -1,7 +1,7 @@
 """Crash-safe execution of whole experiments.
 
 An experiment is a deterministic sequence of runs (every
-:func:`~repro.experiments.runner.run_governed` call), so checkpointing
+:func:`~repro.exec.execute_cell` call), so checkpointing
 one needs two layers:
 
 * **completed runs** are archived, in call order, into a results WAL
@@ -27,7 +27,7 @@ import os
 import pickle
 import shutil
 
-from repro.checkpoint.journal import RunJournal
+from repro.checkpoint.journal import MANIFEST_FILENAME, RunJournal
 from repro.checkpoint.resume import resume_run
 from repro.checkpoint.snapshot import RunCheckpointer
 from repro.errors import CheckpointError, NoSnapshotError
@@ -162,7 +162,9 @@ class ExperimentCheckpointSession:
     def resume_slot(self, slot: int, telemetry: TelemetryRecorder | None):
         """Resume slot ``slot``'s interrupted run, or None to run fresh."""
         run_dir = self._run_directory(slot)
-        if not os.path.isdir(run_dir):
+        if not os.path.isfile(os.path.join(run_dir, MANIFEST_FILENAME)):
+            # Never started, or killed between creating the directory
+            # and the atomic manifest write: nothing was journaled.
             return None
         try:
             result, _state = resume_run(run_dir, telemetry=telemetry)

@@ -975,13 +975,13 @@ def _cmd_experiment(args) -> int:
         if fault_plan is not None:
             from repro.faults import injecting
 
-            # Ambient plan: every run_governed inside the experiment
+            # Ambient plan: every cell run inside the experiment
             # builds its own seeded injector from it.
             stack.enter_context(injecting(fault_plan))
         if getattr(args, "adapt", False):
             from repro.adaptation import AdaptationConfig, adapting
 
-            # Ambient config: every run_governed inside the experiment
+            # Ambient config: every cell run inside the experiment
             # builds its own fresh manager from it.
             stack.enter_context(adapting(AdaptationConfig()))
         if args.checkpoint:
@@ -1015,7 +1015,7 @@ def _cmd_experiment(args) -> int:
             if args.scale is None:
                 args.scale = session.spec.get("scale")
         if session is not None:
-            # Ambient session: every run_governed claims a slot --
+            # Ambient session: every cell run claims a slot --
             # archived slots replay, the interrupted one resumes.
             stack.enter_context(session)
             stack.enter_context(checkpointing(session))

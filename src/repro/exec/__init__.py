@@ -6,8 +6,8 @@ Public surface:
   / :class:`~repro.exec.plan.GovernorSpec` -- experiments as data;
 * :func:`~repro.exec.session.open_session` -- the single composable
   entry point (telemetry, faults, adaptation, checkpointing, workers);
-* :class:`~repro.exec.runner.ParallelRunner` -- the work-stealing
-  process pool behind ``workers>=1``;
+* :class:`~repro.exec.runner.ParallelRunner` -- serial semantics over
+  the lease-dispatched worker pool, behind ``workers>=1``;
 * :func:`~repro.exec.core.execute_cell` -- the one code path every
   cell runs through, in every process.
 """
@@ -32,7 +32,7 @@ from repro.exec.plan import (
     RunPlan,
     as_governor_spec,
 )
-from repro.exec.runner import ParallelRunner, default_mp_context
+from repro.exec.runner import ParallelRunner
 from repro.exec.session import (
     ExecSession,
     current_session,
@@ -70,3 +70,13 @@ __all__ = [
     "trained_power_model",
     "worst_case_power_table",
 ]
+
+
+def __getattr__(name: str):
+    # The pool lives in repro.campaign.dispatch, which imports this
+    # package; its re-export resolves on first use.
+    if name == "default_mp_context":
+        from repro.campaign.dispatch import default_mp_context
+
+        return default_mp_context
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

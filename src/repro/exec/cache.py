@@ -206,21 +206,25 @@ def ps_projection_table(model, table):
 def prime_for_plan(plan) -> None:
     """Train every model the plan's cells will ask for, ahead of forking.
 
-    Called by the parallel runner in the parent process so forked
-    workers inherit a warm cache (and the spawn payload is complete).
+    Called by the worker pool in the parent process so forked workers
+    inherit a warm cache (and the spawn payload is complete).  Tolerates
+    poison cells one cell at a time: a cell whose workload spec cannot
+    resolve must fail *in its worker*, where the failure is classified
+    and reported, never abort priming for the healthy rest of the plan.
     """
-    needs_trained = any(
-        cell.governor.power_model == "trained"
-        for cell in plan.cells
-        if isinstance(cell.governor.power_model, str)
-    )
-    if needs_trained:
-        trained_power_model(seed=plan.config.seed)
     from repro.workloads.registry import is_workload_spec
 
     for cell in plan.cells:
-        if is_workload_spec(cell.workload):
-            spec_workload(cell.workload)
+        try:
+            if (
+                isinstance(cell.governor.power_model, str)
+                and cell.governor.power_model == "trained"
+            ):
+                trained_power_model(seed=plan.config.seed)
+            if is_workload_spec(cell.workload):
+                spec_workload(cell.workload)
+        except Exception:  # noqa: BLE001 - the worker will report it
+            continue
 
 
 def export_caches() -> dict:

@@ -1,7 +1,7 @@
 """The cell execution engine: one :class:`RunCell` -> one ``RunResult``.
 
 This is the single code path every entry point funnels through --
-``run_governed`` (now a shim), the suite drivers, the CLI's ``run``
+the session API, the suite drivers, the CLI's ``run``
 subcommand and the parallel workers all call :func:`execute_cell`, so
 a cell produces bit-identical results no matter which layer asked for
 it or which process it ran in.

@@ -1,155 +1,36 @@
-"""Deterministic parallel execution of a :class:`RunPlan`.
+"""Parallel execution of a :class:`RunPlan` with serial semantics.
 
-:class:`ParallelRunner` fans a plan's cells out over a process pool
-with work stealing: every worker pulls the next unclaimed cell index
-from a shared queue, so a slow cell never blocks the rest of the sweep
-behind a static partition.  Determinism is free by construction -- each
-cell derives every RNG stream from its own data (experiment seed +
-seed offset), so a cell computes the same bit-identical
-:func:`~repro.checkpoint.run_result_digest` no matter which worker runs
-it, in which order, alongside what.
+:class:`ParallelRunner` runs a plan's cells on the one worker pool, the
+lease dispatcher (:class:`~repro.campaign.dispatch.LeaseDispatcher`),
+and gives the outcome the shape of serial execution: results come back
+in cell order, and a cell that fails fails the plan.  Determinism is
+free by construction -- each cell derives every RNG stream from its own
+data (experiment seed + seed offset), so a cell computes the same
+bit-identical :func:`~repro.checkpoint.run_result_digest` no matter
+which worker runs it, in which order, alongside what.
 
-Fault model: a worker that dies mid-cell (OOM-killed, SIGKILL, crashed
-interpreter) is detected by the parent, its claimed-but-unfinished
-cells are re-enqueued, and a replacement worker is started -- up to
-``max_restarts`` times.  What happens when that budget is exhausted is
-the ``on_exhausted`` policy: ``"raise"`` (the default) fails the plan,
-while ``"degrade"`` keeps every completed result and returns a partial
-list with ``None`` holes, flagging the runner ``degraded`` -- the same
-shape as a :meth:`FleetController.run <repro.fleet.controller.
-FleetController.run>` timeout, and what the campaign engine builds on.
-A cell that raises an ordinary exception fails the whole plan, exactly
-like serial execution.
-
-Each worker reports over its own pipe, not a shared queue:
-``Connection.send`` writes in the calling thread, so once a worker has
-sent its claim for a cell the parent can read it even if the worker is
-SIGKILLed on the very next instruction (a ``multiprocessing.Queue``
-put, by contrast, sits in a feeder thread and dies with the process).
-The one remaining hole -- a worker killed between dequeuing an index
-and sending the claim -- is closed by the idle sweep: cells still
-outstanding while workers sit idle are re-issued, which is safe because
-cells are deterministic and duplicate completions are ignored.
-
-Expensive derived artifacts (the trained power model) are primed in the
-parent via :mod:`repro.exec.cache` so forked workers inherit them and
-spawned workers receive them in their init payload: each model is
-trained once per campaign, not once per cell.
-
-Per-worker telemetry: when given a ``telemetry_root`` each worker
-writes a full :class:`~repro.telemetry.exporters.TelemetryDirectory`
-under ``<root>/worker-NN/``; :func:`repro.telemetry.merge.
-merge_worker_directories` folds them into the parent directory
-afterwards.
+Fault model (the dispatcher's): a worker that dies mid-cell is reaped,
+its cell re-issued and a replacement worker started, up to
+``max_restarts`` times; a cell that raises a transient exception is
+retried under the dispatcher's bounded backoff.  A permanent error
+(:data:`~repro.supervise.PERMANENT_ERROR_TYPES`), a cell out of
+attempts, or a pool that cannot be refilled raises
+:class:`~repro.errors.ExperimentError` carrying the worker traceback.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-import traceback
-from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List
 
 from repro.core.controller import RunResult
 from repro.errors import ExperimentError
-from repro.exec import cache
-from repro.exec.core import execute_cell
 from repro.exec.plan import RunPlan
-
-#: Pipe-poll interval; liveness is checked between quiet polls.
-_POLL_S = 0.1
-
-#: Quiet seconds before outstanding-but-unclaimed cells are re-issued.
-_REISSUE_IDLE_S = 2.0
-
-#: Sentinel telling a worker to exit.
-_STOP = None
-
-#: Restart-budget-exhaustion policies.
-_EXHAUSTION_POLICIES = ("raise", "degrade")
-
-
-def default_mp_context() -> multiprocessing.context.BaseContext:
-    """Fork when the platform has it (workers inherit warm caches
-    for free), spawn otherwise."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
-    """Worker loop: pull cell indices until the stop sentinel arrives.
-
-    Runs in the child process.  No ambient state is consulted
-    (``use_ambient=False``): the plan carries everything, which is what
-    makes worker results bit-identical to serial execution.
-    """
-    cache.install_caches(payload["caches"])
-    plan: RunPlan = payload["plan"]
-    hook = payload["cell_hook"]
-    recorder = None
-    sink = None
-    root = payload["telemetry_root"]
-    if root:
-        from repro.telemetry.exporters import TelemetryDirectory
-        from repro.telemetry.recorder import TelemetryRecorder
-
-        base = os.path.join(root, f"worker-{worker_id:02d}")
-        path = base
-        attempt = 1
-        while os.path.exists(path):  # earlier plans in the same session
-            path = f"{base}.{attempt}"
-            attempt += 1
-        recorder = TelemetryRecorder()
-        sink = TelemetryDirectory(path)
-        sink.attach(recorder)
-    try:
-        while True:
-            index = task_q.get()
-            if index is _STOP:
-                break
-            conn.send(("claim", index, None))
-            try:
-                if hook is not None:
-                    hook(index)
-                result = execute_cell(
-                    plan.cells[index],
-                    plan.config,
-                    telemetry=recorder,
-                    fault_plan=plan.fault_plan,
-                    adaptation=plan.adaptation,
-                    resilience=plan.resilience,
-                    use_ambient=False,
-                )
-            except BaseException:  # noqa: BLE001 - shipped to the parent
-                conn.send(("error", index, traceback.format_exc()))
-                continue
-            conn.send(("done", index, result))
-    except (BrokenPipeError, OSError):  # parent is gone; die quietly
-        pass
-    finally:
-        if sink is not None:
-            sink.finalize(recorder)
-        conn.close()
-
-
-class _Worker:
-    """Parent-side record of one worker process."""
-
-    __slots__ = ("process", "conn", "claimed", "eof")
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-        self.claimed: set = set()
-        self.eof = False
 
 
 class ParallelRunner:
-    """Work-stealing process-pool executor for one :class:`RunPlan`."""
+    """Process-pool executor for one :class:`RunPlan`, serial semantics."""
 
     def __init__(
         self,
@@ -158,49 +39,35 @@ class ParallelRunner:
         max_restarts: int = 4,
         telemetry_root: str | os.PathLike | None = None,
         cell_hook: Callable[[int], None] | None = None,
-        on_exhausted: str = "raise",
     ):
-        if workers < 1:
-            raise ExperimentError("ParallelRunner needs at least one worker")
-        if on_exhausted not in _EXHAUSTION_POLICIES:
-            raise ExperimentError(
-                f"on_exhausted must be one of {_EXHAUSTION_POLICIES}, "
-                f"got {on_exhausted!r}"
-            )
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        self.workers = workers
-        self.context = mp_context or default_mp_context()
+        # Imported here: repro.campaign imports this package.
+        from repro.campaign.dispatch import LeaseDispatcher
+
         self.max_restarts = max_restarts
-        self.on_exhausted = on_exhausted
-        self.telemetry_root = (
-            os.fspath(telemetry_root) if telemetry_root is not None else None
+        self.dispatcher = LeaseDispatcher(
+            workers,
+            max_attempts=max_restarts + 1,
+            max_restarts=max_restarts,
+            mp_context=mp_context,
+            telemetry_root=telemetry_root,
+            cell_hook=cell_hook,
         )
-        self._cell_hook = cell_hook
-        #: Replacement workers started after crashes (observable in tests).
-        self.restarts = 0
-        #: Cells re-enqueued because their worker died mid-run.
-        self.rescheduled = 0
-        #: Whether the last execute() returned a partial result
-        #: (``on_exhausted="degrade"`` only).
-        self.degraded = False
-        #: Cell indices abandoned by the last execute() (their results
-        #: are ``None`` in the returned list).
-        self.lost: tuple[int, ...] = ()
 
-    # -- internals ---------------------------------------------------------
+    @property
+    def restarts(self) -> int:
+        """Replacement workers started after crashes."""
+        return self.dispatcher.restarts
 
-    def _spawn(self, worker_id: int, payload: dict, task_q) -> _Worker:
-        parent_conn, child_conn = self.context.Pipe(duplex=False)
-        process = self.context.Process(
-            target=_worker_main,
-            args=(worker_id, payload, task_q, child_conn),
-            daemon=True,
-            name=f"repro-exec-{worker_id}",
+    @property
+    def rescheduled(self) -> int:
+        """Cells re-issued after a crash, expiry or transient failure."""
+        return self.dispatcher.reissues
+
+    def _failure(self, plan: RunPlan, index: int, detail: str):
+        return ExperimentError(
+            f"cell {plan.cells[index].label} (index {index}) failed in a "
+            f"worker (restart budget {self.max_restarts}):\n{detail}"
         )
-        process.start()
-        child_conn.close()  # the worker holds the only write end now
-        return _Worker(process, parent_conn)
 
     def execute(
         self, plan: RunPlan, checkpoint_session=None
@@ -214,14 +81,7 @@ class ParallelRunner:
         executing, and every completed cell is durably archived on
         arrival.  Parallel mode checkpoints at cell granularity (no
         mid-run snapshots inside workers).
-
-        With ``on_exhausted="degrade"`` a run that exhausts the worker
-        restart budget returns what it has instead of raising: the list
-        holds ``None`` for every abandoned cell, :attr:`degraded` is
-        set, and :attr:`lost` names the abandoned indices.
         """
-        self.degraded = False
-        self.lost = ()
         results: Dict[int, RunResult] = {}
         slots: Dict[int, int] = {}
         pending: List[int] = []
@@ -239,191 +99,29 @@ class ParallelRunner:
                     results[index] = resumed
                     continue
             pending.append(index)
+        if not pending:
+            return [results[index] for index in range(len(plan.cells))]
 
-        if pending:
-            self._execute_pending(plan, pending, results, slots,
-                                  checkpoint_session)
-        return [results.get(index) for index in range(len(plan.cells))]
+        def on_result(index: int, result: RunResult) -> None:
+            results[index] = result
+            if checkpoint_session is not None:
+                checkpoint_session.finish_slot(slots[index], result)
 
-    def _execute_pending(
-        self,
-        plan: RunPlan,
-        pending: List[int],
-        results: Dict[int, RunResult],
-        slots: Dict[int, int],
-        checkpoint_session,
-    ) -> None:
-        cache.prime_for_plan(plan)
-        payload = {
-            "plan": plan,
-            "caches": cache.export_caches(),
-            "telemetry_root": self.telemetry_root,
-            "cell_hook": self._cell_hook,
-        }
-        task_q = self.context.Queue()
-        for index in pending:
-            task_q.put(index)
-        count = min(self.workers, len(pending))
-        workers: Dict[int, _Worker] = {
-            wid: self._spawn(wid, payload, task_q) for wid in range(count)
-        }
-        next_id = count
-        outstanding = set(pending)
-        state = {
-            "plan": plan, "results": results, "slots": slots,
-            "outstanding": outstanding, "checkpoint": checkpoint_session,
-            "progressed": False, "lost": set(),
-        }
-        idle_s = 0.0
-        reissued = False
-        try:
-            while outstanding:
-                conns = [w.conn for w in workers.values() if not w.eof]
-                if conns:
-                    ready = mp_connection.wait(conns, timeout=_POLL_S)
-                else:
-                    ready = []
-                    time.sleep(_POLL_S)
-                state["progressed"] = False
-                by_conn = {w.conn: w for w in workers.values()}
-                for conn in ready:
-                    self._drain(by_conn[conn], state)
-                if state["progressed"]:
-                    idle_s = 0.0
-                    reissued = False
-                    continue
-                next_id = self._reap_crashed(
-                    workers, outstanding, payload, task_q, next_id, state,
-                )
-                if outstanding and not workers:
-                    if self.on_exhausted == "degrade":
-                        state["lost"] |= outstanding
-                        outstanding.clear()
-                        break
-                    raise ExperimentError(
-                        f"all workers exited with cells "
-                        f"{sorted(outstanding)} outstanding"
-                    )
-                idle_s += _POLL_S
-                if (
-                    outstanding
-                    and not reissued
-                    and idle_s >= _REISSUE_IDLE_S
-                ):
-                    reissued = self._reissue_lost(
-                        workers, outstanding, task_q
-                    )
-            if state["lost"]:
-                self.degraded = True
-                self.lost = tuple(sorted(state["lost"]))
-            for worker in workers.values():
-                if worker.process.is_alive():
-                    task_q.put(_STOP)
-            for worker in workers.values():
-                worker.process.join(timeout=10)
-        finally:
-            for worker in workers.values():
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=5)
-                worker.conn.close()
-            task_q.close()
-
-    def _drain(self, worker: _Worker, state: dict) -> None:
-        """Handle every message currently readable from one worker."""
-        plan: RunPlan = state["plan"]
-        outstanding = state["outstanding"]
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                kind, index, body = worker.conn.recv()
-            except (EOFError, OSError):
-                worker.eof = True
-                return
-            state["progressed"] = True
-            if kind == "claim":
-                worker.claimed.add(index)
-            elif kind == "done":
-                worker.claimed.discard(index)
-                if index in outstanding:
-                    outstanding.discard(index)
-                    state["results"][index] = body
-                    if state["checkpoint"] is not None:
-                        state["checkpoint"].finish_slot(
-                            state["slots"][index], body
-                        )
-            else:  # "error": fail the plan, like serial execution
-                raise ExperimentError(
-                    f"cell {plan.cells[index].label} (index {index}) "
-                    f"failed in a worker:\n{body}"
-                )
-
-    def _reap_crashed(
-        self,
-        workers: Dict[int, _Worker],
-        outstanding,
-        payload: dict,
-        task_q,
-        next_id: int,
-        state: dict,
-    ) -> int:
-        """Re-enqueue cells of dead workers; start replacements."""
-        for wid, worker in list(workers.items()):
-            if worker.process.is_alive():
-                continue
-            self._drain(worker, state)  # anything buffered before death
-            worker.conn.close()
-            del workers[wid]
-            lost = sorted(
-                index for index in worker.claimed if index in outstanding
+        def on_quarantine(index: int, record: dict) -> None:
+            raise self._failure(
+                plan, index, record.get("traceback", record["error"])
             )
-            if not lost and worker.process.exitcode == 0:
-                # Clean early exit (e.g. raced the sentinel): nothing lost.
-                continue
-            if self.restarts >= self.max_restarts:
-                if self.on_exhausted == "degrade":
-                    # Abandon this worker's in-flight cells but keep the
-                    # rest of the pool draining the queue: a partial
-                    # sweep beats losing every finished cell.
-                    state["lost"].update(lost)
-                    for index in lost:
-                        outstanding.discard(index)
-                    continue
-                raise ExperimentError(
-                    f"worker {wid} died (exit {worker.process.exitcode}) "
-                    f"with cells {lost} in flight and the restart budget "
-                    f"({self.max_restarts}) is exhausted"
-                )
-            for index in lost:
-                task_q.put(index)
-            self.rescheduled += len(lost)
-            self.restarts += 1
-            workers[next_id] = self._spawn(next_id, payload, task_q)
-            next_id += 1
-        return next_id
 
-    def _reissue_lost(self, workers, outstanding, task_q) -> bool:
-        """Re-issue outstanding cells no live worker claims.
-
-        Covers the sliver a claim cannot: a worker killed after
-        dequeuing an index but before its (synchronous) claim send.
-        Only fires when some worker sits idle -- an idle worker plus a
-        quiet pipe means those cells are not in the queue and not being
-        computed.  Duplicate execution is safe: cells are deterministic
-        and late duplicate completions are ignored.
-        """
-        claimed_live = set()
-        idle_worker = False
-        for worker in workers.values():
-            active = {i for i in worker.claimed if i in outstanding}
-            claimed_live |= active
-            if not active:
-                idle_worker = True
-        missing = sorted(outstanding - claimed_live)
-        if not missing or not idle_worker:
-            return False
-        for index in missing:
-            task_q.put(index)
-        self.rescheduled += len(missing)
-        return True
+        outcome = self.dispatcher.dispatch(
+            plan, pending, on_result=on_result, on_quarantine=on_quarantine
+        )
+        if outcome.interrupted:
+            raise KeyboardInterrupt
+        if outcome.lost:
+            index = min(outcome.lost)
+            raise self._failure(
+                plan, index,
+                f"every worker exited with cells {sorted(outcome.lost)} "
+                "outstanding and no restarts left",
+            )
+        return [results[index] for index in range(len(plan.cells))]

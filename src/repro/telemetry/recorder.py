@@ -11,7 +11,7 @@ called many layers deep (the CLI's ``experiment`` subcommand wraps whole
 experiment modules)::
 
     with recording(recorder):
-        module.run(config)   # run_governed() picks the recorder up
+        module.run(config)   # execute_cell() picks the recorder up
 
 The default current recorder is ``None`` (telemetry off).
 """

@@ -66,6 +66,10 @@ def _sleep_forever(index: int) -> None:
     time.sleep(3600)
 
 
+def _sleep_one_second(index: int) -> None:
+    time.sleep(1.0)
+
+
 def _serial_digests():
     return [
         run_result_digest(execute_cell(cell, CONFIG, use_ambient=False))
@@ -163,9 +167,28 @@ def test_max_seconds_interrupts_with_lost_cells():
     dispatcher = LeaseDispatcher(
         1, max_seconds=0.4, cell_hook=_sleep_forever,
     )
+    started = time.monotonic()
     outcome = dispatcher.dispatch(PLAN, range(len(CELLS)))
+    # A leaseholder stuck in its cell is killed, not waited on.
+    assert time.monotonic() - started < 3.0
     assert outcome.interrupted is True
     assert outcome.lost == {0, 1, 2}
+
+
+def test_heartbeats_keep_a_long_cell_leased():
+    captured = []
+    telemetry = TelemetryRecorder()
+    telemetry.bus.subscribe(captured.append)
+    dispatcher = LeaseDispatcher(
+        1, lease_s=0.3, heartbeat_s=0.05, max_attempts=1,
+        telemetry=telemetry, cell_hook=_sleep_one_second,
+    )
+    plan = RunPlan(config=CONFIG, cells=CELLS[:1])
+    outcome = dispatcher.dispatch(plan, [0])
+    assert list(outcome.results) == [0]
+    assert not outcome.quarantined and not outcome.lost
+    kinds = [event.kind for event in captured]
+    assert "lease_expired" not in kinds
 
 
 def test_protocol_publishes_typed_events(tmp_path):

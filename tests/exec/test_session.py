@@ -86,13 +86,16 @@ def test_session_faults_change_results():
     assert _digests(clean) != _digests(faulty)
 
 
+@pytest.mark.parametrize("first_workers", [0, 2])
 @pytest.mark.parametrize("resume_workers", [0, 2])
-def test_checkpointed_session_replays_on_resume(tmp_path, resume_workers):
+def test_checkpointed_session_replays_on_resume(
+    tmp_path, first_workers, resume_workers
+):
     directory = tmp_path / "ckpt"
     with ExperimentCheckpointSession.create(
         directory, experiment="exec-test"
     ) as ckpt:
-        with open_session(checkpoint=ckpt) as session:
+        with open_session(checkpoint=ckpt, workers=first_workers) as session:
             assert current_checkpoint_session() is ckpt
             first = session.run_cells(CELLS, CONFIG)
     with ExperimentCheckpointSession.open(directory) as ckpt:
@@ -100,6 +103,19 @@ def test_checkpointed_session_replays_on_resume(tmp_path, resume_workers):
             second = session.run_cells(CELLS, CONFIG)
         assert ckpt.replayed == len(CELLS)
     assert _digests(second) == _digests(first)
+
+
+def test_slot_killed_before_its_manifest_runs_fresh(tmp_path):
+    directory = tmp_path / "ckpt"
+    with ExperimentCheckpointSession.create(
+        directory, experiment="exec-test"
+    ) as ckpt:
+        # A kill between creating run-0000/ and writing its manifest.
+        (directory / "run-0000").mkdir()
+        with open_session(checkpoint=ckpt) as session:
+            results = session.run_cells(CELLS, CONFIG)
+    expected = [execute_cell(cell, CONFIG) for cell in CELLS]
+    assert _digests(results) == _digests(expected)
 
 
 def test_parallel_session_writes_merged_telemetry(tmp_path):
