@@ -414,9 +414,12 @@ class LeaseDispatcher:
                 # Graceful stop.  After an interrupt the leaseholders
                 # may be stuck in a cell; every result is already out
                 # through on_result, so the finally block kills them.
-                for worker in workers.values():
-                    if worker.process.is_alive():
-                        task_q.put(_STOP)
+                # Count the living first: any worker may take any STOP,
+                # so one that exits on an earlier STOP must not cost a
+                # later worker its own.
+                alive = [w for w in workers.values() if w.process.is_alive()]
+                for _ in alive:
+                    task_q.put(_STOP)
                 for worker in workers.values():
                     worker.process.join(timeout=10)
         except KeyboardInterrupt:

@@ -72,6 +72,18 @@ def write_header(handle: BinaryIO) -> None:
     handle.write(_HEADER.pack(MAGIC, JOURNAL_FORMAT_VERSION, 0))
 
 
+def is_torn_header(raw: bytes) -> bool:
+    """Whether ``raw`` is a proper prefix of the header (empty included).
+
+    That is all a writer killed between creating a journal file and
+    writing its header leaves behind: a file holding no record, exactly
+    like a missing one.  Wrong magic or version bytes are not torn.
+    """
+    return len(raw) < HEADER_SIZE and _HEADER.pack(
+        MAGIC, JOURNAL_FORMAT_VERSION, 0
+    ).startswith(raw)
+
+
 def read_header(handle: BinaryIO) -> int:
     """Validate the header at the current position; returns the version."""
     raw = handle.read(HEADER_SIZE)
@@ -136,8 +148,14 @@ def iter_records(handle: BinaryIO) -> Iterator[JournalRecord]:
 
 
 def read_records(path: str) -> list[JournalRecord]:
-    """All valid records of the journal at ``path`` (header validated)."""
+    """All valid records of the journal at ``path`` (header validated).
+
+    A torn header (:func:`is_torn_header`) holds no records.
+    """
     with open(path, "rb") as handle:
+        if is_torn_header(handle.read(HEADER_SIZE)):
+            return []
+        handle.seek(0)
         read_header(handle)
         return list(iter_records(handle))
 

@@ -32,9 +32,11 @@ from repro.checkpoint.format import (
     SUPPORTED_JOURNAL_FORMATS,
     JournalRecord,
     append_record,
+    is_torn_header,
     iter_records,
     new_journal_bytes,
     read_header,
+    read_records,
     write_header,
 )
 from repro.errors import CheckpointError
@@ -169,13 +171,24 @@ class RunJournal:
 
     # -- reading ---------------------------------------------------------------
 
+    def _holds_no_header(self) -> bool:
+        """Whether the WAL is missing or torn before its header was whole.
+
+        :meth:`create` opens the file before it writes the header, so a
+        kill in between leaves a 0-7 byte WAL that holds nothing.
+        """
+        try:
+            with open(self.journal_path, "rb") as handle:
+                return is_torn_header(handle.read(HEADER_SIZE))
+        except FileNotFoundError:
+            return True
+
     def records(self) -> list[JournalRecord]:
         """All valid records on disk (empty for a missing/virgin WAL)."""
-        if not os.path.exists(self.journal_path):
+        try:
+            return read_records(self.journal_path)
+        except FileNotFoundError:
             return []
-        with open(self.journal_path, "rb") as handle:
-            read_header(handle)
-            return list(iter_records(handle))
 
     def latest(self) -> JournalRecord | None:
         """The newest valid checkpoint record, or None."""
@@ -194,7 +207,7 @@ class RunJournal:
         """
         if self._handle is not None:
             raise CheckpointError("journal already open for append")
-        if not os.path.exists(self.journal_path):
+        if self._holds_no_header():
             handle = open(self.journal_path, "wb")
             write_header(handle)
             handle.flush()

@@ -1,8 +1,9 @@
 """Crash-safe execution of whole experiments.
 
 An experiment is a deterministic sequence of runs (every
-:func:`~repro.exec.execute_cell` call), so checkpointing
-one needs two layers:
+:func:`~repro.exec.execute_cell` call under an execution session opened
+with ``open_session(checkpoint=session)``), so checkpointing one needs
+two layers:
 
 * **completed runs** are archived, in call order, into a results WAL
   (``results.journal``): replaying slot *k* returns the archived
@@ -14,7 +15,8 @@ On resume the experiment module simply re-executes: archived slots
 replay instantly (the claim counter advances in the same deterministic
 call order), the interrupted slot resumes from its last checkpoint, and
 later slots run fresh -- producing exactly the results an uninterrupted
-invocation would have.
+invocation would have.  Serial and parallel execution both go through
+:meth:`ExperimentCheckpointSession.replay_slot` for that decision.
 
 Each archive record also carries the telemetry metrics registry at
 archive time, so a resumed experiment's final ``metrics.json`` matches
@@ -155,6 +157,21 @@ class ExperimentCheckpointSession:
         if result is not None:
             self._replayed += 1
         return result
+
+    def replay_slot(self, telemetry: TelemetryRecorder | None = None):
+        """Claim the next slot and replay it if it already ran.
+
+        Returns ``(slot, result)``: ``result`` is the archived result,
+        or the interrupted run resumed from its journal (and archived),
+        or None when the slot must run fresh.
+        """
+        slot = self.claim()
+        result = self.archived(slot)
+        if result is None:
+            result = self.resume_slot(slot, telemetry)
+            if result is not None:
+                self.finish_slot(slot, result, telemetry=telemetry)
+        return slot, result
 
     def _run_directory(self, slot: int) -> str:
         return os.path.join(self.directory, f"run-{slot:04d}")

@@ -758,7 +758,6 @@ def _cmd_run(args) -> int:
         telemetry=recorder,
         fault_plan=fault_plan,
         adaptation=adaptation,
-        use_ambient=False,
     )
     journal = None
     checkpointer = None
@@ -948,95 +947,74 @@ def _cmd_experiment(args) -> int:
     workers = getattr(args, "workers", 0) or 0
     if workers < 0:
         raise ReproError("--workers must be >= 0")
-    recorder, sink = _make_telemetry(getattr(args, "telemetry", None))
+    telemetry_dir = getattr(args, "telemetry", None) or None
+    recorder = None
+    if telemetry_dir:
+        from repro.telemetry import TelemetryRecorder
 
-    from contextlib import ExitStack
+        recorder = TelemetryRecorder()
+    adaptation = None
+    if getattr(args, "adapt", False):
+        from repro.adaptation import AdaptationConfig
 
-    session = None
-    with ExitStack() as stack:
-        if workers:
-            from repro.exec.session import ExecSession, executing
+        adaptation = AdaptationConfig()
+    checkpoint = None
+    if args.checkpoint:
+        from repro.checkpoint import ExperimentCheckpointSession
 
-            # Ambient execution session: every suite sweep built by the
-            # experiment modules (execute_cells) fans out over the pool;
-            # per-cell results are bit-identical to serial execution.
-            stack.enter_context(
-                executing(
-                    ExecSession(
-                        workers=workers,
-                        telemetry_dir=getattr(args, "telemetry", None),
-                    )
-                )
+        checkpoint = ExperimentCheckpointSession.create(
+            args.checkpoint,
+            experiment=args.id,
+            spec={"scale": args.scale},
+            interval_ticks=args.checkpoint_interval,
+            telemetry=recorder,
+        )
+    elif args.resume:
+        from repro.checkpoint import ExperimentCheckpointSession
+
+        checkpoint = ExperimentCheckpointSession.open(
+            args.resume, telemetry=recorder
+        )
+        args.id = checkpoint.experiment
+        if args.id not in _EXPERIMENTS:
+            checkpoint.close()
+            raise ReproError(
+                f"journal {args.resume} checkpoints unknown "
+                f"experiment {args.id!r}"
             )
-        if recorder is not None:
-            from repro.telemetry import recording
+        if args.scale is None:
+            args.scale = checkpoint.spec.get("scale")
 
-            stack.enter_context(recording(recorder))
-        if fault_plan is not None:
-            from repro.faults import injecting
+    from contextlib import nullcontext
 
-            # Ambient plan: every cell run inside the experiment
-            # builds its own seeded injector from it.
-            stack.enter_context(injecting(fault_plan))
-        if getattr(args, "adapt", False):
-            from repro.adaptation import AdaptationConfig, adapting
+    from repro.exec.session import open_session
 
-            # Ambient config: every cell run inside the experiment
-            # builds its own fresh manager from it.
-            stack.enter_context(adapting(AdaptationConfig()))
-        if args.checkpoint:
-            from repro.checkpoint import (
-                ExperimentCheckpointSession,
-                checkpointing,
-            )
-
-            session = ExperimentCheckpointSession.create(
-                args.checkpoint,
-                experiment=args.id,
-                spec={"scale": args.scale},
-                interval_ticks=args.checkpoint_interval,
-                telemetry=recorder,
-            )
-        elif args.resume:
-            from repro.checkpoint import (
-                ExperimentCheckpointSession,
-                checkpointing,
-            )
-
-            session = ExperimentCheckpointSession.open(
-                args.resume, telemetry=recorder
-            )
-            args.id = session.experiment
-            if args.id not in _EXPERIMENTS:
-                raise ReproError(
-                    f"journal {args.resume} checkpoints unknown "
-                    f"experiment {args.id!r}"
-                )
-            if args.scale is None:
-                args.scale = session.spec.get("scale")
-        if session is not None:
-            # Ambient session: every cell run claims a slot --
-            # archived slots replay, the interrupted one resumes.
-            stack.enter_context(session)
-            stack.enter_context(checkpointing(session))
+    # Every cell run inside the experiment -- direct execute_cell calls
+    # and suite sweeps alike -- takes its telemetry, faults, adaptation
+    # and checkpoint slot from this one session; with workers, suite
+    # sweeps fan out over the pool, bit-identical to serial execution.
+    with checkpoint or nullcontext(), open_session(
+        workers=workers,
+        telemetry=recorder,
+        telemetry_dir=telemetry_dir,
+        faults=fault_plan,
+        adaptation=adaptation,
+        checkpoint=checkpoint,
+    ) as session:
         text = _EXPERIMENTS[args.id](args.scale)
     print(text)
-    if session is not None and session.replayed:
-        print(f"(replayed {session.replayed} archived runs from "
-              f"{session.directory})", file=sys.stderr)
-    if sink is not None:
-        sink.finalize(recorder)
-        if workers:
-            from repro.telemetry.merge import merge_worker_directories
-
-            report = merge_worker_directories(sink.path)
-            if report.workers:
-                print(
-                    f"merged telemetry from {report.workers} worker "
-                    f"director{'y' if report.workers == 1 else 'ies'}",
-                    file=sys.stderr,
-                )
-        print(f"telemetry written to {sink.path}")
+    if checkpoint is not None and checkpoint.replayed:
+        print(f"(replayed {checkpoint.replayed} archived runs from "
+              f"{checkpoint.directory})", file=sys.stderr)
+    merged = session.merged.workers if session.merged is not None else 0
+    if merged:
+        print(
+            f"merged telemetry from {merged} worker "
+            f"director{'y' if merged == 1 else 'ies'}",
+            file=sys.stderr,
+        )
+    if telemetry_dir:
+        print(f"telemetry written to {telemetry_dir}")
     return 0
 
 

@@ -5,7 +5,8 @@ Public surface:
 * :class:`~repro.exec.plan.RunPlan` / :class:`~repro.exec.plan.RunCell`
   / :class:`~repro.exec.plan.GovernorSpec` -- experiments as data;
 * :func:`~repro.exec.session.open_session` -- the single composable
-  entry point (telemetry, faults, adaptation, checkpointing, workers);
+  entry point (telemetry, faults, adaptation, checkpointing, workers)
+  and the only ambient execution state (:func:`current_session`);
 * :class:`~repro.exec.runner.ParallelRunner` -- serial semantics over
   the lease-dispatched worker pool, behind ``workers>=1``;
 * :func:`~repro.exec.core.execute_cell` -- the one code path every
@@ -37,9 +38,7 @@ from repro.exec.session import (
     ExecSession,
     current_session,
     execute_cells,
-    executing,
     open_session,
-    set_session,
 )
 
 __all__ = [
@@ -60,13 +59,11 @@ __all__ = [
     "default_mp_context",
     "execute_cell",
     "execute_cells",
-    "executing",
     "export_caches",
     "install_caches",
     "open_session",
     "prepare_cell",
     "prime_for_plan",
-    "set_session",
     "trained_power_model",
     "worst_case_power_table",
 ]

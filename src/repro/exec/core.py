@@ -7,29 +7,26 @@ a cell produces bit-identical results no matter which layer asked for
 it or which process it ran in.
 
 Resolution order for the cross-cutting options (telemetry, faults,
-adaptation, resilience): per-cell data beats explicit arguments beats
-the process-local ambient contexts.  Workers never install ambient
-state; everything they need rides on the cell and the plan.
+adaptation, checkpoint): per-cell data beats explicit arguments beats
+the open :class:`~repro.exec.session.ExecSession`.  Workers open no
+session; everything they need rides on the cell and the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.adaptation.context import current_adaptation_config
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
-from repro.checkpoint.context import current_checkpoint_session
 from repro.core.controller import PowerManagementController, RunResult
 from repro.core.resilience import ResilienceConfig
 from repro.errors import PlanError
 from repro.exec.plan import ExperimentConfig, RunCell
-from repro.faults.context import current_fault_plan
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.multicore.controller import MulticoreController
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.machine import Machine
-from repro.telemetry.recorder import TelemetryRecorder, current_recorder
+from repro.telemetry.recorder import TelemetryRecorder
 
 
 @dataclass
@@ -65,8 +62,8 @@ class PreparedCell:
             if checkpointer is not None:
                 raise PlanError(
                     f"cell {cell.label}: multicore cells (threads > 1) do "
-                    "not support checkpointing; run them outside a "
-                    "checkpointing() session"
+                    "not support checkpointing; run them in a session "
+                    "without a checkpoint"
                 )
             if tel is not None and tel.enabled:
                 with tel.span("run"):
@@ -109,25 +106,15 @@ def prepare_cell(
     fault_plan: FaultPlan | None = None,
     adaptation: AdaptationConfig | AdaptationManager | None = None,
     resilience: ResilienceConfig | None = None,
-    use_ambient: bool = True,
 ) -> PreparedCell:
     """Resolve ``cell`` into live objects without running it.
 
     ``telemetry``/``fault_plan``/``adaptation``/``resilience`` are the
-    plan- or caller-level defaults; per-cell values override them, and
-    with ``use_ambient`` (the default in-process path) unset options
-    fall back to the process-local contexts exactly as ``run_governed``
-    always did.
+    plan- or caller-level defaults; per-cell values override them.
     """
     tel = telemetry
-    if tel is None and use_ambient:
-        tel = current_recorder()
     plan = cell.fault_plan if cell.fault_plan is not None else fault_plan
-    if plan is None and use_ambient:
-        plan = current_fault_plan()
     adapt = cell.adaptation if cell.adaptation is not None else adaptation
-    if adapt is None and use_ambient:
-        adapt = current_adaptation_config()
     if adapt is not None and not isinstance(adapt, AdaptationManager):
         adapt = AdaptationManager(adapt)
     resil = cell.resilience if cell.resilience is not None else resilience
@@ -208,49 +195,57 @@ def execute_cell(
     adaptation: AdaptationConfig | AdaptationManager | None = None,
     resilience: ResilienceConfig | None = None,
     use_ambient: bool = True,
+    checkpoint=None,
 ) -> RunResult:
-    """Execute one cell, honouring the ambient checkpoint session.
+    """Execute one cell, checkpointed when a checkpoint session is given.
 
-    This is the historical ``run_governed`` behaviour verbatim: when a
-    checkpoint session is installed, completed slots replay from the
-    archive, an interrupted slot resumes from its journal, and fresh
-    slots run with periodic checkpointing -- slot indices line up
-    because cells execute in deterministic order.
+    With ``use_ambient`` (the default in-process path), telemetry,
+    faults, adaptation and checkpoint left unset come from the open
+    :class:`~repro.exec.session.ExecSession`, if any.  With a
+    ``checkpoint`` (an
+    :class:`~repro.checkpoint.session.ExperimentCheckpointSession`),
+    completed slots replay from the archive, an interrupted slot
+    resumes from its journal, and fresh slots run with periodic
+    checkpointing -- slot indices line up because cells execute in
+    deterministic order.
     """
-    tel = telemetry
-    if tel is None and use_ambient:
-        tel = current_recorder()
-    session = current_checkpoint_session() if use_ambient else None
+    if use_ambient:
+        # Imported here: repro.exec.session imports this module.
+        from repro.exec.session import current_session
+
+        session = current_session()
+        if session is not None:
+            if telemetry is None:
+                telemetry = session.telemetry
+            if fault_plan is None:
+                fault_plan = session.faults
+            if adaptation is None:
+                adaptation = session.adaptation
+            if checkpoint is None:
+                checkpoint = session.checkpoint
     slot = None
-    if session is not None:
-        slot = session.claim()
-        cached = session.archived(slot)
-        if cached is not None:
-            return cached
-        resumed = session.resume_slot(slot, tel)
-        if resumed is not None:
-            session.finish_slot(slot, resumed, telemetry=tel)
-            return resumed
+    if checkpoint is not None:
+        slot, replayed = checkpoint.replay_slot(telemetry)
+        if replayed is not None:
+            return replayed
     prepared = prepare_cell(
         cell,
         config,
-        telemetry=tel,
+        telemetry=telemetry,
         fault_plan=fault_plan,
         adaptation=adaptation,
         resilience=resilience,
-        # Ambient telemetry is already resolved; pass the rest through.
-        use_ambient=use_ambient,
     )
     checkpointer = (
-        session.start_slot(
+        checkpoint.start_slot(
             slot, cell.workload_name, prepared.governor.name
         )
-        if session is not None
+        if checkpoint is not None
         else None
     )
     result = prepared.execute(checkpointer)
-    if session is not None:
-        session.finish_slot(
-            slot, result, telemetry=tel, checkpointer=checkpointer
+    if checkpoint is not None:
+        checkpoint.finish_slot(
+            slot, result, telemetry=telemetry, checkpointer=checkpointer
         )
     return result

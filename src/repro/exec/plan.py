@@ -1,11 +1,10 @@
 """Declarative run plans: experiment cells as data, not ambient state.
 
 Historically one run was described by a pile of ``run_governed`` kwargs
-plus up to three ambient contexts (``injecting()``, ``adapting()``,
-``checkpointing()``).  That sprawl is impossible to fan out over a
-process pool -- a lambda governor factory does not pickle, and ambient
-state does not cross process boundaries.  This module replaces it with
-three plain-data types:
+plus process-global option slots.  That sprawl is impossible to fan out
+over a process pool -- a lambda governor factory does not pickle, and
+process-global state does not cross process boundaries.  This module
+replaces it with three plain-data types:
 
 * :class:`GovernorSpec` -- a picklable, JSON-able description of a
   governor (kind + parameters + model source) that builds a fresh

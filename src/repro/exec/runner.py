@@ -87,16 +87,9 @@ class ParallelRunner:
         pending: List[int] = []
         for index in range(len(plan.cells)):
             if checkpoint_session is not None:
-                slot = checkpoint_session.claim()
-                slots[index] = slot
-                cached = checkpoint_session.archived(slot)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-                resumed = checkpoint_session.resume_slot(slot, None)
-                if resumed is not None:
-                    checkpoint_session.finish_slot(slot, resumed)
-                    results[index] = resumed
+                slots[index], replayed = checkpoint_session.replay_slot()
+                if replayed is not None:
+                    results[index] = replayed
                     continue
             pending.append(index)
         if not pending:

@@ -1,30 +1,22 @@
 """One composable entry point for running experiments.
 
-:func:`open_session` subsumes what previously took four nested ambient
-context managers plus a pile of ``run_governed`` kwargs::
+:func:`open_session` is the one handle on execution state: telemetry,
+faults, adaptation, resilience, checkpointing and the worker pool::
 
-    # before
-    with recording(recorder), injecting(faults), adapting(adapt), \\
-            checkpointing(ckpt):
-        result = run_governed("mcf", lambda t: PowerSave(t, model, 0.8),
-                              config)
-
-    # after
     with open_session(telemetry_dir="out", faults=faults,
                       adaptation=adapt, checkpoint=ckpt,
                       workers=4) as session:
         result = session.run("mcf", GovernorSpec.ps(0.8), config)
 
-The session both *is* the ambient state (it installs the telemetry /
-fault / adaptation / checkpoint contexts for legacy code underneath it)
-and the execution engine handle: ``workers=0`` runs cells serially
-in-process, ``workers>=1`` fans them out through
+The open session is also the only ambient execution state: code many
+layers below (suite drivers, ``median_run``, experiment modules) reaches
+it through :func:`current_session`.  :func:`execute_cells` routes
+through it -- so a CLI-level ``--workers 4`` parallelises sweeps built
+many layers below without those layers knowing -- and
+:func:`~repro.exec.core.execute_cell` fills the options its caller left
+unset from it.  ``workers=0`` runs cells serially in-process,
+``workers>=1`` fans them out through
 :class:`~repro.exec.runner.ParallelRunner` with bit-identical results.
-
-Code between the layers (suite drivers, ``median_run``) calls
-:func:`execute_cells`, which routes through the innermost open session
--- so a CLI-level ``--workers 4`` parallelises sweeps built many layers
-below without those layers knowing.
 """
 
 from __future__ import annotations
@@ -33,12 +25,7 @@ import contextlib
 import os
 from typing import Iterator, List, Sequence
 
-from repro.adaptation.context import adapting, current_adaptation_config
 from repro.adaptation.manager import AdaptationConfig
-from repro.checkpoint.context import (
-    checkpointing,
-    current_checkpoint_session,
-)
 from repro.core.controller import RunResult
 from repro.core.resilience import ResilienceConfig
 from repro.exec.core import execute_cell
@@ -50,9 +37,8 @@ from repro.exec.plan import (
     RunPlan,
     as_governor_spec,
 )
-from repro.faults.context import current_fault_plan, injecting
 from repro.faults.plan import FaultPlan
-from repro.telemetry.recorder import TelemetryRecorder, recording
+from repro.telemetry.recorder import TelemetryRecorder
 
 _current: "ExecSession | None" = None
 
@@ -62,36 +48,12 @@ def current_session() -> "ExecSession | None":
     return _current
 
 
-def set_session(session: "ExecSession | None") -> None:
-    """Install (or clear, with ``None``) the ambient session."""
-    global _current
-    _current = session
-
-
-@contextlib.contextmanager
-def executing(session: "ExecSession | None") -> Iterator[
-    "ExecSession | None"
-]:
-    """Temporarily install ``session`` as the ambient session.
-
-    Lower-level than :func:`open_session`: installs *only* the session
-    (for callers like the CLI that manage telemetry/fault/adaptation
-    contexts themselves) so :func:`execute_cells` routes through it.
-    """
-    previous = current_session()
-    set_session(session)
-    try:
-        yield session
-    finally:
-        set_session(previous)
-
-
 class ExecSession:
     """A live execution scope: options + (optionally) a worker pool.
 
-    Construct directly only when composing with externally-managed
-    ambient contexts; otherwise use :func:`open_session`, which installs
-    everything coherently.
+    :func:`open_session` builds one and installs it; a session built
+    directly runs plans the same way but is not visible to
+    :func:`execute_cells` or to ``execute_cell`` calls below it.
     """
 
     def __init__(
@@ -121,6 +83,9 @@ class ExecSession:
         self.cell_hook = cell_hook
         #: The most recent ParallelRunner (crash/reschedule stats).
         self.last_runner = None
+        #: The worker-telemetry MergeReport, set when a parallel
+        #: session with a ``telemetry_dir`` closes.
+        self.merged = None
 
     @property
     def parallel(self) -> bool:
@@ -136,38 +101,40 @@ class ExecSession:
         plan = RunPlan(
             config=config,
             cells=tuple(cells),
-            fault_plan=(
-                self.faults if self.faults is not None
-                else current_fault_plan()
-            ),
-            adaptation=(
-                self.adaptation if self.adaptation is not None
-                else current_adaptation_config()
-            ),
+            fault_plan=self.faults,
+            adaptation=self.adaptation,
             resilience=self.resilience,
         )
         return self.run_plan(plan)
 
     def run_plan(self, plan: RunPlan) -> List[RunResult]:
-        """Execute a fully-specified plan (serially or on the pool)."""
-        checkpoint = (
-            self.checkpoint
-            if self.checkpoint is not None
-            else current_checkpoint_session()
-        )
+        """Execute a fully-specified plan (serially or on the pool).
+
+        Serially, the session's faults and adaptation apply where the
+        plan sets none, as they do for any ``execute_cell`` below it.
+        """
         if not self.parallel:
-            with checkpointing(checkpoint):
-                return [
-                    execute_cell(
-                        cell,
-                        plan.config,
-                        telemetry=self.telemetry,
-                        fault_plan=plan.fault_plan,
-                        adaptation=plan.adaptation,
-                        resilience=plan.resilience,
-                    )
-                    for cell in plan.cells
-                ]
+            fault_plan = (
+                plan.fault_plan if plan.fault_plan is not None
+                else self.faults
+            )
+            adaptation = (
+                plan.adaptation if plan.adaptation is not None
+                else self.adaptation
+            )
+            return [
+                execute_cell(
+                    cell,
+                    plan.config,
+                    telemetry=self.telemetry,
+                    fault_plan=fault_plan,
+                    adaptation=adaptation,
+                    resilience=plan.resilience,
+                    checkpoint=self.checkpoint,
+                    use_ambient=False,
+                )
+                for cell in plan.cells
+            ]
         from repro.exec.runner import ParallelRunner
 
         runner = ParallelRunner(
@@ -178,7 +145,7 @@ class ExecSession:
             cell_hook=self.cell_hook,
         )
         self.last_runner = runner
-        return runner.execute(plan, checkpoint_session=checkpoint)
+        return runner.execute(plan, checkpoint_session=self.checkpoint)
 
     def run(
         self,
@@ -204,8 +171,8 @@ def execute_cells(
     This is the seam mid-layer code (suite drivers, ``median_run``,
     experiment modules) calls so that a session opened above them --
     e.g. the CLI's ``--workers 4`` -- transparently parallelises their
-    sweeps.  Without a session it is exactly the historical behaviour:
-    cells run in order, in process, honouring ambient contexts.
+    sweeps.  Without a session cells run in order, in process, with no
+    telemetry, faults, adaptation or checkpointing.
     """
     session = current_session()
     if session is not None:
@@ -225,19 +192,36 @@ def open_session(
     mp_context=None,
     max_restarts: int = 4,
 ) -> Iterator[ExecSession]:
-    """Open an execution session: ambient state + engine, one handle.
+    """Open and install an execution session: options + engine.
 
-    * ``workers=0`` (default): cells run serially in this process --
-      behaviourally identical to the legacy context-manager stack.
+    * ``workers=0`` (default): cells run serially in this process.
     * ``workers>=1``: sweeps fan out over a worker pool; per-cell
       results are bit-identical to serial execution.
     * ``telemetry_dir``: create (or reuse ``telemetry``) a recorder and
       write a full telemetry directory there on exit; with workers,
-      per-worker subdirectories are merged in automatically.
-    * ``faults`` / ``adaptation`` / ``resilience`` / ``checkpoint``:
-      plan-wide options, installed ambiently for legacy callees *and*
-      carried as data into worker processes.
+      per-worker subdirectories are merged in automatically (the
+      :class:`~repro.telemetry.merge.MergeReport` is left on
+      ``session.merged``).
+    * ``telemetry`` / ``faults`` / ``adaptation`` / ``resilience`` /
+      ``checkpoint``: plan-wide options, seen by every ``execute_cell``
+      below the session *and* carried as data into worker processes.
+      A nested session inherits each of these it leaves unset from the
+      enclosing session (a recorder only when it names no
+      ``telemetry_dir`` of its own).
     """
+    global _current
+    outer = _current
+    if outer is not None:
+        if telemetry is None and telemetry_dir is None:
+            telemetry = outer.telemetry
+        if faults is None:
+            faults = outer.faults
+        if adaptation is None:
+            adaptation = outer.adaptation
+        if resilience is None:
+            resilience = outer.resilience
+        if checkpoint is None:
+            checkpoint = outer.checkpoint
     recorder = telemetry
     sink = None
     if telemetry_dir is not None:
@@ -258,22 +242,14 @@ def open_session(
         mp_context=mp_context,
         max_restarts=max_restarts,
     )
+    _current = session
     try:
-        with contextlib.ExitStack() as stack:
-            if recorder is not None:
-                stack.enter_context(recording(recorder))
-            if faults is not None:
-                stack.enter_context(injecting(faults))
-            if adaptation is not None:
-                stack.enter_context(adapting(adaptation))
-            if checkpoint is not None:
-                stack.enter_context(checkpointing(checkpoint))
-            stack.enter_context(executing(session))
-            yield session
+        yield session
     finally:
+        _current = outer
         if sink is not None:
             sink.finalize(recorder)
         if session.telemetry_dir is not None and session.parallel:
             from repro.telemetry.merge import merge_worker_directories
 
-            merge_worker_directories(session.telemetry_dir)
+            session.merged = merge_worker_directories(session.telemetry_dir)

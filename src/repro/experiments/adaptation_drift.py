@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.adaptation.context import adapting
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.analysis.report import TextTable
 from repro.core.controller import RunResult
@@ -36,6 +35,7 @@ from repro.exec import (
     ExperimentConfig,
     RunCell,
     as_governor_spec,
+    current_session,
     execute_cell,
 )
 from repro.exec.cache import trained_power_model
@@ -108,11 +108,19 @@ def run(
     def pm_factory(table):
         return PerformanceMaximizer(table, model, power_limit_w)
 
-    # The frozen leg must stay frozen even when the CLI installed an
-    # ambient adaptation config (``experiment --adapt``).
+    # The frozen leg must stay frozen even under a session-level
+    # adaptation config (``experiment --adapt``), so it takes only the
+    # session's telemetry and checkpoint.
     cell = RunCell(workload=workload, governor=as_governor_spec(pm_factory))
-    with adapting(None):
-        frozen_run = execute_cell(cell, config, fault_plan=plan)
+    session = current_session()
+    frozen_run = execute_cell(
+        cell,
+        config,
+        telemetry=session.telemetry if session is not None else None,
+        fault_plan=plan,
+        checkpoint=session.checkpoint if session is not None else None,
+        use_ambient=False,
+    )
 
     manager = AdaptationManager(
         adaptation if adaptation is not None else AdaptationConfig()

@@ -15,8 +15,6 @@ input so the hardened monitor -> estimate -> control loop can be tested
 * :mod:`repro.faults.injector` -- the seeded :class:`FaultInjector` and
   its interface-preserving wrappers around the counter sampler, power
   meter and SpeedStep driver;
-* :mod:`repro.faults.context` -- the ambient plan used by
-  ``experiment --faults`` (mirrors :func:`repro.telemetry.recording`);
 * :mod:`repro.faults.report` -- the ``repro-power faults-report``
   injected-vs-recovered aggregation.
 
@@ -26,11 +24,6 @@ The consumer-side defenses live with the consumers: see
 :class:`~repro.fleet.controller.FleetController`.
 """
 
-from repro.faults.context import (
-    current_fault_plan,
-    injecting,
-    set_fault_plan,
-)
 from repro.faults.injector import (
     FaultInjector,
     FaultyPowerMeter,
@@ -64,9 +57,6 @@ __all__ = [
     "FaultySampler",
     "FaultyPowerMeter",
     "FaultySpeedStep",
-    "current_fault_plan",
-    "set_fault_plan",
-    "injecting",
     "FaultsReport",
     "load_faults_report",
     "render_faults_report",

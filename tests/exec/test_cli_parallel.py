@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.exec.cache import clear_caches
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 
 
@@ -74,3 +77,54 @@ def test_experiment_workers_merges_telemetry(tmp_path, capsys):
 def test_experiment_rejects_negative_workers(capsys):
     assert main(["experiment", "fig1", "--workers", "-1"]) == 1
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fresh_caches():
+    """Per-process caches as a new process has them, before and after.
+
+    The worst-case power table is measured through ``execute_cell``
+    under the open session, so whether it is cached decides how many
+    checkpoint slots an experiment claims, and a table measured under
+    faults must not leak into later tests.
+    """
+    clear_caches()
+    yield clear_caches
+    clear_caches()
+
+
+@pytest.mark.parametrize("workers", ["0", "1"])
+@pytest.mark.parametrize("experiment", ["fig5", "fig7"])
+def test_experiment_options_reach_every_cell(
+    tmp_path, capsys, fresh_caches, experiment, workers
+):
+    """fig5 calls execute_cell directly; fig7's suite sweeps go through
+    execute_cells (and the pool with workers)."""
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({
+        "seed": 0,
+        "sample": {"drop_prob": 0.08},
+        "transition": {"fail_prob": 0.4},
+    }))
+    telemetry = tmp_path / "telemetry"
+    checkpoint = tmp_path / "ckpt"
+    assert main([
+        "experiment", experiment, "--scale", "0.05",
+        "--faults", str(faults), "--adapt",
+        "--telemetry", str(telemetry), "--checkpoint", str(checkpoint),
+        "--workers", workers,
+    ]) == 0
+    first = capsys.readouterr().out
+    metrics = json.loads((telemetry / "metrics.json").read_text())["metrics"]
+    names = [name for kind in metrics.values() for name in kind]
+    assert any(name.startswith("faults.injected.") for name in names)
+    assert any(name.startswith("adaptation.") for name in names)
+    fresh_caches()  # a resume is a new process
+    assert main([
+        "experiment", "--resume", str(checkpoint), "--workers", workers,
+    ]) == 0
+    resumed = capsys.readouterr()
+    assert "replayed" in resumed.err
+    assert resumed.out == first.replace(
+        f"telemetry written to {telemetry}\n", ""
+    )

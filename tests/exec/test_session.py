@@ -1,30 +1,25 @@
-"""open_session subsumes the ambient context stack and the engine.
+"""open_session is the one ambient execution state and the engine.
 
-One ``open_session`` call must replace the historical four-deep
-``recording() / injecting() / adapting() / checkpointing()`` nest: the
-options install ambiently for legacy callees, carry as data into the
-plan, and the same handle routes ``execute_cells`` from any layer.
+One ``open_session`` call carries telemetry, faults, adaptation and the
+checkpoint session: ``execute_cell`` calls below it pick them up, they
+carry as data into the plan, and the same handle routes
+``execute_cells`` from any layer.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adaptation.context import current_adaptation_config
 from repro.adaptation.manager import AdaptationConfig
-from repro.checkpoint.context import current_checkpoint_session
 from repro.checkpoint.digest import run_result_digest
 from repro.checkpoint.session import ExperimentCheckpointSession
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell
 from repro.exec.session import (
-    ExecSession,
     current_session,
     execute_cells,
-    executing,
     open_session,
 )
 from repro.exec.core import execute_cell
-from repro.faults.context import current_fault_plan
 from repro.faults.plan import FaultPlan, SampleFaults
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.registry import get_workload
@@ -50,11 +45,10 @@ def test_open_session_installs_and_restores_ambient_state():
         telemetry=recorder, faults=faults, adaptation=adaptation
     ) as session:
         assert current_session() is session
-        assert current_fault_plan() is faults
-        assert current_adaptation_config() is adaptation
+        assert session.telemetry is recorder
+        assert session.faults is faults
+        assert session.adaptation is adaptation
     assert current_session() is None
-    assert current_fault_plan() is None
-    assert current_adaptation_config() is None
 
 
 def test_session_run_matches_legacy_entry_point():
@@ -70,8 +64,7 @@ def test_session_run_matches_legacy_entry_point():
 
 def test_execute_cells_routes_through_ambient_session():
     serial = _digests(execute_cells(CELLS, CONFIG))  # no session: in-order
-    session = ExecSession(workers=2)
-    with executing(session):
+    with open_session(workers=2) as session:
         routed = execute_cells(CELLS, CONFIG)
     assert _digests(routed) == serial
     assert session.last_runner is not None  # it really went to the pool
@@ -96,7 +89,7 @@ def test_checkpointed_session_replays_on_resume(
         directory, experiment="exec-test"
     ) as ckpt:
         with open_session(checkpoint=ckpt, workers=first_workers) as session:
-            assert current_checkpoint_session() is ckpt
+            assert current_session().checkpoint is ckpt
             first = session.run_cells(CELLS, CONFIG)
     with ExperimentCheckpointSession.open(directory) as ckpt:
         with open_session(checkpoint=ckpt, workers=resume_workers) as session:
@@ -129,3 +122,53 @@ def test_parallel_session_writes_merged_telemetry(tmp_path):
     assert workers  # per-worker directories kept for debugging
     merged = (out / "summary.txt").read_text()
     assert "merged run summary" in merged
+
+
+def test_nested_session_inherits_unset_options(tmp_path):
+    recorder = TelemetryRecorder()
+    faults = FaultPlan(seed=9, sample=SampleFaults(drop_prob=0.01))
+    adaptation = AdaptationConfig(cooldown_ticks=123)
+    with ExperimentCheckpointSession.create(
+        tmp_path / "ckpt", experiment="exec-test"
+    ) as ckpt:
+        with open_session(
+            telemetry=recorder, faults=faults, adaptation=adaptation,
+            checkpoint=ckpt,
+        ) as outer:
+            with open_session() as inner:
+                assert current_session() is inner
+                assert inner.telemetry is recorder
+                assert inner.faults is faults
+                assert inner.adaptation is adaptation
+                assert inner.checkpoint is ckpt
+                inner.run_cells(CELLS[:1], CONFIG)
+            assert current_session() is outer
+            # The inner cell recorded into the outer recorder and
+            # claimed a slot of the outer checkpoint session.
+            assert recorder.metrics.counter("controller.ticks").value > 0
+            assert ckpt.archived_count == 1
+            other = FaultPlan(seed=1)
+            with open_session(faults=other) as inner:
+                assert inner.faults is other  # a set option wins
+                assert inner.checkpoint is ckpt
+
+
+def test_drift_frozen_leg_ignores_session_adaptation(monkeypatch):
+    from repro.experiments import adaptation_drift
+
+    calls = []
+    original = adaptation_drift.execute_cell
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(adaptation_drift, "execute_cell", spy)
+    adaptation_drift.run()
+    frozen = run_result_digest(calls[0][1])
+    recorder = TelemetryRecorder()
+    with open_session(telemetry=recorder, adaptation=AdaptationConfig()):
+        adaptation_drift.run()
+    kwargs, result = calls[2]
+    assert run_result_digest(result) == frozen
+    assert kwargs["telemetry"] is recorder  # telemetry still reaches it

@@ -13,12 +13,11 @@ from repro.telemetry import (
     TelemetryRecorder,
     TickCompleted,
     TRACE_FIELDS,
-    current_recorder,
-    recording,
     render_run_summary,
     write_trace_csv,
 )
 from repro.errors import TelemetryError
+from repro.exec import current_session, open_session
 from repro.telemetry.bus import DecisionMade
 
 
@@ -137,10 +136,10 @@ class TestRecorder:
         assert "controller.ticks" in text
         assert "run.duration_s" in text
 
-    def test_recording_context_installs_and_restores(self):
+    def test_session_recorder_installs_and_restores(self):
         recorder = TelemetryRecorder()
-        assert current_recorder() is None
-        with recording(recorder) as installed:
-            assert installed is recorder
-            assert current_recorder() is recorder
-        assert current_recorder() is None
+        assert current_session() is None
+        with open_session(telemetry=recorder) as session:
+            assert session.telemetry is recorder
+            assert current_session().telemetry is recorder
+        assert current_session() is None

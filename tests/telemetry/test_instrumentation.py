@@ -15,9 +15,10 @@ from repro.exec import (
     RunCell,
     as_governor_spec,
     execute_cell,
+    open_session,
 )
 from repro.platform.machine import Machine, MachineConfig
-from repro.telemetry import NullRecorder, TelemetryRecorder, recording
+from repro.telemetry import NullRecorder, TelemetryRecorder
 from repro.workloads.registry import get_workload
 
 MODEL = LinearPowerModel.paper_model()
@@ -141,10 +142,10 @@ class TestRunnerIntegration:
         assert "run/decide" in spans
         assert spans["run/decide"]["count"] > 0
 
-    def test_execute_cell_picks_up_current_recorder(self):
+    def test_execute_cell_picks_up_session_recorder(self):
         recorder = TelemetryRecorder()
         config = ExperimentConfig(scale=0.05)
-        with recording(recorder):
+        with open_session(telemetry=recorder):
             execute_cell(self._pm_cell(), config)
         assert recorder.metrics.counter("controller.ticks").value > 0
 

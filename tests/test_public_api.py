@@ -54,7 +54,6 @@ PUBLIC_MODULES = (
     "repro.faults",
     "repro.faults.plan",
     "repro.faults.injector",
-    "repro.faults.context",
     "repro.faults.report",
     "repro.exec",
     "repro.exec.plan",
@@ -110,9 +109,59 @@ def test_every_error_class_is_exported():
 
 def test_fault_api_is_exported():
     for name in ("FaultPlan", "FaultInjector", "load_fault_plan",
-                 "injecting", "ResilienceConfig"):
+                 "ResilienceConfig"):
         assert name in repro.__all__
         assert hasattr(repro, name)
+
+
+#: Process-global option slots folded into the one execution session
+#: (``open_session``), as ``(defining module, name)``.
+AMBIENT_CONTEXT_NAMES = (
+    ("repro.telemetry.recorder", "current_recorder"),
+    ("repro.telemetry.recorder", "set_recorder"),
+    ("repro.telemetry.recorder", "recording"),
+    ("repro.faults", "current_fault_plan"),
+    ("repro.faults", "set_fault_plan"),
+    ("repro.faults", "injecting"),
+    ("repro.adaptation", "current_adaptation_config"),
+    ("repro.adaptation", "set_adaptation_config"),
+    ("repro.adaptation", "adapting"),
+    ("repro.checkpoint", "current_checkpoint_session"),
+    ("repro.checkpoint", "set_checkpoint_session"),
+    ("repro.checkpoint", "checkpointing"),
+    ("repro.exec.session", "executing"),
+    ("repro.exec.session", "set_session"),
+)
+
+
+@pytest.mark.parametrize(
+    "module_name, name", AMBIENT_CONTEXT_NAMES,
+    ids=[name for _, name in AMBIENT_CONTEXT_NAMES],
+)
+def test_ambient_context_names_are_gone(module_name, name):
+    package = ".".join(module_name.split(".")[:2])
+    for module in {module_name, package}:
+        assert not hasattr(importlib.import_module(module), name), module
+    assert name not in repro.__all__
+    assert not hasattr(repro, name)
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["repro.faults.context", "repro.adaptation.context",
+     "repro.checkpoint.context"],
+)
+def test_ambient_context_modules_are_gone(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
+
+
+def test_prepare_cell_takes_explicit_arguments_only():
+    import inspect
+
+    from repro.exec import prepare_cell
+
+    assert "use_ambient" not in inspect.signature(prepare_cell).parameters
 
 
 def test_multicore_api_is_exported():
