@@ -158,20 +158,42 @@ class ExperimentCheckpointSession:
             self._replayed += 1
         return result
 
-    def replay_slot(self, telemetry: TelemetryRecorder | None = None):
+    def replay_slot(
+        self,
+        telemetry: TelemetryRecorder | None = None,
+        workload: str | None = None,
+    ):
         """Claim the next slot and replay it if it already ran.
 
         Returns ``(slot, result)``: ``result`` is the archived result,
         or the interrupted run resumed from its journal (and archived),
-        or None when the slot must run fresh.
+        or None when the slot must run fresh.  Slots match cells by
+        claim order alone, so with ``workload`` (the name the claiming
+        cell's result carries) a result of another workload raises
+        :class:`~repro.errors.CheckpointError`: the archive was laid
+        out differently (by another version of the experiment) and
+        replaying it would put results in the wrong cells.
         """
         slot = self.claim()
         result = self.archived(slot)
         if result is None:
             result = self.resume_slot(slot, telemetry)
             if result is not None:
+                self._check_slot(slot, result, workload)
                 self.finish_slot(slot, result, telemetry=telemetry)
+        else:
+            self._check_slot(slot, result, workload)
         return slot, result
+
+    def _check_slot(self, slot: int, result, workload: str | None) -> None:
+        if workload is not None and result.workload != workload:
+            raise CheckpointError(
+                f"{self.directory}: slot {slot} holds a {result.workload} "
+                f"run ({result.governor}) where the experiment now runs "
+                f"{workload}; the archive was laid out by an older "
+                "version of this experiment and must be rerun from "
+                "scratch"
+            )
 
     def _run_directory(self, slot: int) -> str:
         return os.path.join(self.directory, f"run-{slot:04d}")

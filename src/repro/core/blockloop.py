@@ -5,8 +5,9 @@ tick builds a ``TickRecord``, a ``ResolvedRates``, a ``CounterSample``
 and several dict/dataclass intermediates.  For the common experiment
 configuration -- stock :class:`~repro.platform.machine.Machine`, stock
 :class:`~repro.core.sampling.CounterSampler`, one inline-able
-:class:`~repro.measurement.power_meter.PowerMeter`, no fault injection,
-no online adaptation -- this module runs the same loop batched:
+:class:`~repro.measurement.power_meter.PowerMeter` (each possibly
+inside its stock fault wrapper), no online adaptation -- this module
+runs the same loop batched:
 
 * **Dynamic governors** (PerformanceMaximizer, PowerSave,
   DemandBasedSwitching) decide every tick, so their loop fuses the
@@ -17,14 +18,19 @@ no online adaptation -- this module runs the same loop batched:
   syncing object state only at checkpoint boundaries and loop exit.
   Constraint schedules are boundaries inside this loop (a due change is
   delivered between two ticks, then the decision inputs are re-read),
-  and with telemetry on the loop feeds the scalar loop's per-tick
-  accounting helper from its locals, so observing a run keeps it fast.
+  with telemetry on the loop feeds the scalar loop's per-tick
+  accounting helper from its locals, so observing a run keeps it fast,
+  and fault injection and the hardened (resilience) loop run inside it
+  too: the per-tick sampler draws and sample validation are inlined, the
+  rare events (a fault firing, a holdover, a retried transition, the
+  watchdog, degraded mode) go through the real objects.
 * **Static governors** (StaticClocking, FixedFrequency) never change
   their mind, so their loop consumes whole
   :meth:`~repro.platform.machine.Machine.step_block` blocks between
   checkpoint boundaries and converts them with
   :meth:`~repro.core.sampling.CounterSampler.consume_block`.  Runs with
-  telemetry or a schedule leave this arm to the scalar loop.
+  telemetry, a schedule, faults or resilience leave this arm to the
+  scalar loop.
 
 **Bit-identical contract.**  Both arms replicate the scalar loop's RNG
 draws, float operation order and side effects exactly; ``RunResult``
@@ -32,11 +38,11 @@ digests, checkpoint contents and telemetry (metrics, span paths and
 counts, events) are indistinguishable from the scalar path's
 (``tests/core/test_block_equivalence.py`` and the generated-input
 oracle ``tests/core/test_fast_scalar_oracle.py``).  Anything the fast
-path cannot replicate exactly -- resilience runtimes, fault injection,
-adaptation probation, multiplexed samplers, thermal models, wrapped
-drivers/meters, exotic governors -- fails :func:`fallback_reason`, which
-names the first failed check, and falls back to the scalar loop; with
-telemetry on the run counts under
+path cannot replicate exactly -- adaptation probation, multiplexed
+samplers, thermal models, non-stock drivers/meters, exotic governors,
+and faults or resilience on the static arm -- fails
+:func:`fallback_reason`, which names the first failed check, and falls
+back to the scalar loop; with telemetry on the run counts under
 ``controller.fast_path_fallback.<reason>``.
 
 Kill switches (reason ``forced``): set module flag ``FAST_LOOP = False``
@@ -55,8 +61,16 @@ from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking
 from repro.core.governors.unconstrained import FixedFrequency
+from repro.core.resilience import sample_is_plausible
 from repro.core.sampling import CounterSample, CounterSampler, sample_event
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SampleDropped
+from repro.faults.injector import (
+    FaultyPowerMeter,
+    FaultySampler,
+    FaultySpeedStep,
+    garbled,
+    overflowed,
+)
 from repro.drivers.msr import (
     IA32_PMC0,
     IA32_PMC1,
@@ -70,8 +84,9 @@ from repro.platform.blockstep import (
     _NEG_P,
     _SELECTOR,
     block_capable,
-    inline_meter,
+    is_stock_meter,
     rate_template,
+    sink_meter,
 )
 from repro.platform.pipeline import (
     DCU_OUTSTANDING_CAP,
@@ -99,23 +114,27 @@ _DYNAMIC = (PerformanceMaximizer, PowerSave, DemandBasedSwitching)
 _STATIC = (StaticClocking, FixedFrequency)
 
 
+def _inner(component, wrapper_type):
+    """``component`` with one stock fault wrapper of ``wrapper_type`` removed."""
+    return component._inner if type(component) is wrapper_type else component
+
+
 def fallback_reason(st, tel) -> str | None:
     """Why ``st`` cannot run the batched loop (None: it can).
 
     Names the first check that failed; the conditions mirror everything
     the fused kernels inline.  Any stateful boundary the batch cannot
-    replicate exactly (resilience, injection, adaptation, wrappers,
-    subclasses) routes the run back to the scalar loop.  Telemetry and
-    constraint schedules are handled by the dynamic arm; the static arm
-    leaves both to the scalar loop.  The kill switches report
-    ``"forced"``.
+    replicate exactly (adaptation, thermal models, non-stock components,
+    subclasses) routes the run back to the scalar loop.  The stock fault
+    wrappers (:class:`~repro.faults.injector.FaultySampler`,
+    :class:`~repro.faults.injector.FaultyPowerMeter`,
+    :class:`~repro.faults.injector.FaultySpeedStep`) around stock inner
+    objects, a resilience runtime, telemetry and constraint schedules
+    are handled by the dynamic arm; the static arm leaves all four to
+    the scalar loop.  The kill switches report ``"forced"``.
     """
     if not FAST_LOOP or os.environ.get("REPRO_SCALAR_LOOP"):
         return "forced"
-    if st.injecting:
-        return "faults"
-    if st.rt is not None:
-        return "resilience"
     if st.adapting:
         return "adaptation"
     governor = st.governor
@@ -129,28 +148,40 @@ def fallback_reason(st, tel) -> str | None:
         return "pstate_table"
     if not block_capable(machine):
         return "machine"
-    if st.driver is not machine.speedstep:
+    if gtype in _STATIC:
+        if st.injecting:
+            return "static_faults"
+        if st.rt is not None:
+            return "static_resilience"
+        if tel is not None and tel.enabled:
+            return "static_telemetry"
+        if st.schedule is not None:
+            return "static_schedule"
+    # Wrapped or not, the driver must be the machine's own, charging
+    # dead time to the machine's DVFS controller.
+    if (
+        _inner(st.driver, FaultySpeedStep) is not machine.speedstep
+        or st.driver._dvfs is not machine.dvfs
+    ):
         return "driver"
-    sampler = st.sampler
+    sampler = _inner(st.sampler, FaultySampler)
     if type(sampler) is not CounterSampler:
         return "sampler"
     for event in sampler._events:
         if event not in _SELECTOR:
             return "events"
-    if inline_meter(machine) is not st.meter:
+    meter = sink_meter(machine)
+    if meter is not st.meter or not is_stock_meter(
+        _inner(meter, FaultyPowerMeter)
+    ):
         return "meter"
-    if gtype in _STATIC:
-        if tel is not None and tel.enabled:
-            return "static_telemetry"
-        if st.schedule is not None:
-            return "static_schedule"
     return None
 
 
 def run_fast(st, tel, checkpointer=None, resumed=False):
     """Drive ``st`` to completion on the batched path.
 
-    Only call when :func:`eligible` returned True.  Returns the same
+    Only call when :func:`fallback_reason` returned None.  Returns the same
     :class:`~repro.core.controller.RunResult` (bit-identical) as the
     scalar loop.
     """
@@ -345,6 +376,19 @@ def _run_dynamic(st, tel, checkpointer, resumed):
     reads instead of span context managers.  PM's power estimate comes
     from the projection row the decision already used, which is
     bitwise ``estimate_power``.
+
+    **Faults and resilience.**  The stock wrappers are unwrapped and
+    applied per tick on the kernel's locals, in the scalar order:
+    ``FaultyPowerMeter`` corrupts the samples the tick closed (its own
+    RNG stream, drawn after the machine tick), ``FaultySampler`` draws
+    drop/duplicate/garble/overflow on the tick's sample, and the
+    hardened loop validates it (plausibility, fault streak, last-good
+    holdover or skip), filters the measured power and holds the
+    p-state in degraded mode or without a sample, leaving the governor
+    and PM's hysteresis untouched.  Injected faults, recoveries, the
+    watchdog and every actuation go through the real injector, wrapper
+    and resilience-runtime methods after ``machine._time_s`` is written
+    back, since their event timestamps read ``machine.now_s``.
     """
     from repro.core.controller import (
         TraceRow,
@@ -356,9 +400,14 @@ def _run_dynamic(st, tel, checkpointer, resumed):
 
     machine = st.machine
     governor = st.governor
-    meter = st.meter
-    sampler = st.sampler
     driver = st.driver
+    rt = st.rt
+    # The kernel inlines the stock sampler and meter; fault wrappers
+    # around them are applied per tick below.
+    fs = st.sampler if type(st.sampler) is FaultySampler else None
+    fm = st.meter if type(st.meter) is FaultyPowerMeter else None
+    sampler = _inner(st.sampler, FaultySampler)
+    meter = _inner(st.meter, FaultyPowerMeter)
     workload_name = st.workload_name
     max_seconds = st.max_seconds
     keep_trace = st.keep_trace
@@ -499,6 +548,36 @@ def _run_dynamic(st, tel, checkpointer, resumed):
     two_events = len(sampler._events) == 2
     next_change_s = _next_change_s(st)
 
+    # Faults and resilience (all off on a fault-free run, whose ticks
+    # pay a few hoisted boolean tests).  Rare events -- a fault firing,
+    # a rejected sample or reading, any actuation -- go through the
+    # real objects after ``machine._time_s`` is written back (event
+    # timestamps read ``machine.now_s``).  Wrapper and runtime state
+    # lives on the objects themselves, except the deferred last clean
+    # sample (``lazy``), built before every checkpoint and at exit.
+    meter_faults = fm is not None
+    guarded = fs is not None or rt is not None
+    hardened = rt is not None
+    timed_actuation = hardened or type(driver) is FaultySpeedStep
+    skipped = False  # no counter sample this tick (decision skipped)
+    hold_index = None  # hardened p-state hold: skip the governor
+    lazy = False  # the last clean sample is not built yet
+    r1 = None  # second-event rate (PS only)
+    if fs is not None:
+        fs_injector = fs._injector
+        fs_record = fs_injector.record
+        fs_rng = fs._rng
+        fs_random = fs_rng.random
+        fs_cfg = fs._cfg
+        fs_drop = fs_cfg.drop_prob
+        fs_duplicate = fs_cfg.duplicate_prob
+        fs_garble = fs_cfg.garble_prob
+        fs_overflow = fs_cfg.overflow_prob
+    if hardened:
+        max_rate = rt.config.max_plausible_rate
+        power_accept = rt._power_filter.accept
+        safe_index = state_index[rt.safe_pstate]
+
     # Unpacked fields of the template the loop last touched.
     t_cur = None
 
@@ -550,6 +629,12 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                         if pending_index is not None
                         else None
                     )
+                if lazy:
+                    _build_last_sample(
+                        fs, rt, sampler._events, lazy_interval,
+                        lazy_cycles, lazy_r0, lazy_r1,
+                    )
+                    lazy = False
                 st.instructions = instructions
                 st.true_energy = true_energy
                 st.tick_index = tick_index
@@ -578,6 +663,7 @@ def _run_dynamic(st, tel, checkpointer, resumed):
 
             if instrumented:
                 t0 = clock()
+                t3 = None
 
             # ---- machine tick (mirrors Machine.step / run_block) ----
             start_time = time_s
@@ -863,6 +949,19 @@ def _run_dynamic(st, tel, checkpointer, resumed):
 
             time_s = start_time + elapsed
             mean_power = energy / elapsed if elapsed > 0 else 0.0
+            if meter_faults and n_samples > fm._corrupted:
+                # Corrupt what this tick closed (the inlined meter
+                # appended to the list the wrapper reads).  Its RNG
+                # stream is its own, so drawing after the sense/ADC
+                # draws is exact, and nothing else emits during a tick,
+                # so the events keep their order.
+                fm._corrupt_new_samples()
+                last_measured_w = meter_samples[-1].watts
+            measured = (
+                last_measured_w
+                if n_samples > sample_index
+                else mean_power
+            )
 
             # ---- sampler (mirrors CounterSampler.sample) ----
             if instrumented:
@@ -874,6 +973,7 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 c1 = (pmc1 - pmc1_start) & _M40
                 r1 = c1 / cyc if cyc > 0 else 0.0
             sampler_elapsed += elapsed
+            interval_s = elapsed  # the decision sample's interval
             if instrumented:
                 if events:
                     tel.emit(
@@ -890,6 +990,121 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                             ),
                         )
                     )
+            if guarded:
+                # ---- FaultySampler.sample, then the validation of
+                # _ResilienceRuntime.acquire_sample, on the tick's
+                # sample; the decision reads whatever survives ----
+                fault = None
+                if fs is not None:
+                    # One fault at most, drawn in priority order; a
+                    # duplicate with nothing to repeat falls through.
+                    fs._elapsed_s += elapsed
+                    if fs_drop and fs_random() < fs_drop:
+                        fault = "drop"
+                    elif (
+                        fs_duplicate
+                        and fs_random() < fs_duplicate
+                        and (lazy or fs._last_returned is not None)
+                    ):
+                        fault = "duplicate"
+                    elif fs_garble and fs_random() < fs_garble:
+                        fault = "garble"
+                    elif fs_overflow and fs_random() < fs_overflow:
+                        fault = "overflow"
+                if fault is None and (
+                    not hardened
+                    or not (
+                        r0 > max_rate or (two_events and r1 > max_rate)
+                    )
+                ):
+                    # The common tick: a clean, plausible sample becomes
+                    # the last returned and last good one.  (Its counts
+                    # and rates are finite and non-negative, so only the
+                    # cap can make it implausible.)  Nothing can observe
+                    # it before a later fault, a checkpoint or the
+                    # loop's end, so it is built only then (``lazy``).
+                    lazy = True
+                    lazy_interval = elapsed
+                    lazy_cycles = cyc
+                    lazy_r0 = r0
+                    lazy_r1 = r1
+                    skipped = False
+                    if hardened:
+                        rt._sampler_fault_streak = 0
+                        hold_index = safe_index if rt.degraded else None
+                else:
+                    if lazy:
+                        _build_last_sample(
+                            fs, rt, sampler._events, lazy_interval,
+                            lazy_cycles, lazy_r0, lazy_r1,
+                        )
+                        lazy = False
+                    sample = tick_sample = CounterSample(
+                        interval_s=elapsed,
+                        cycles=float(cyc),
+                        rates=(
+                            {event0: r0, event1: r1}
+                            if two_events
+                            else {event0: r0}
+                        ),
+                    )
+                    if fault is not None:
+                        machine._time_s = time_s
+                        now = fs_injector.now_s or fs._elapsed_s
+                        if fault == "drop":
+                            fs_record("sampler", "drop", now)
+                            if not hardened:
+                                raise SampleDropped(
+                                    "injected dropped counter sample at "
+                                    f"t={now:.3f}s"
+                                )
+                            sample = None
+                        elif fault == "duplicate":
+                            fs_record("sampler", "duplicate", now)
+                            sample = fs._last_returned
+                        else:
+                            if fault == "garble":
+                                sample = garbled(
+                                    sample, fs_rng, fs_cfg.garble_magnitude
+                                )
+                            else:
+                                sample = overflowed(sample)
+                            fs_record("sampler", fault, now)
+                    if fs is not None and (
+                        fault is None
+                        or fault == "garble"
+                        or fault == "overflow"
+                    ):
+                        fs._last_returned = sample
+                    if hardened:
+                        if sample is not None and sample_is_plausible(
+                            sample, max_rate
+                        ):
+                            rt._sampler_fault_streak = 0
+                            rt._last_good_sample = sample
+                        else:
+                            machine._time_s = time_s
+                            sample = rt.sample_fault()
+                        if rt.degraded:
+                            hold_index = safe_index
+                        elif sample is None:
+                            hold_index = current_index
+                        else:
+                            hold_index = None
+                    skipped = sample is None
+                    if not skipped and sample is not tick_sample:
+                        rates = sample.rates
+                        r0 = rates[event0]
+                        if two_events:
+                            r1 = rates[event1]
+                        cyc = sample.cycles
+                        interval_s = sample.interval_s
+                if hardened and not power_accept(measured):
+                    # A rejection leaves the window untouched, so
+                    # filter_power rejects again and holds over.
+                    machine._time_s = time_s
+                    measured = rt.filter_power(measured)
+            if instrumented:
                 t2 = clock()
 
             # ---- accounting (mirrors the scalar loop body) ----
@@ -897,14 +1112,15 @@ def _run_dynamic(st, tel, checkpointer, resumed):
             true_energy += energy
             tick_freq = freq
             res_acc += elapsed
-            measured = (
-                last_measured_w
-                if n_samples > sample_index
-                else mean_power
-            )
 
             # ---- decide (table-driven, bit-identical to decide()) ----
-            if mode == 0:  # PerformanceMaximizer
+            if hold_index is not None:
+                # Degraded (fail-safe p-state) or no sample yet: the
+                # governor, and PM's hysteresis, sit this tick out.
+                target_index = hold_index
+                if mode == 0:
+                    row = proj_rows[current_index]
+            elif mode == 0:  # PerformanceMaximizer
                 row = proj_rows[current_index]
                 desired_index = n_states - 1
                 for i in range(n_states):
@@ -950,10 +1166,10 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                         target_index = candidate
                         break
             else:  # DemandBasedSwitching
-                if elapsed <= 0:
+                if interval_s <= 0:
                     utilization = 1.0
                 else:
-                    available = freq_1e6 * elapsed
+                    available = freq_1e6 * interval_s
                     utilization = min(1.0, cyc / available)
                 if utilization >= up_threshold:
                     target_index = (
@@ -969,12 +1185,20 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                     target_index = current_index
 
             # ---- actuate (through the real driver: MSR writes, DVFS
-            # dead time and transition counts stay checkpoint-exact) ----
+            # dead time and transition counts stay checkpoint-exact;
+            # hardened runs retry, back off and degrade through the
+            # resilience runtime) ----
             if target_index != current_index:
                 if instrumented:
                     t3 = clock()
                 residency[freq] = res_acc
-                driver.set_pstate(gov_states[target_index])
+                if timed_actuation:
+                    machine._time_s = time_s
+                if hardened:
+                    rt.actuate(driver, gov_states[target_index])
+                else:
+                    driver.set_pstate(gov_states[target_index])
+                # A failed (held) transition leaves the p-state as is.
                 pstate = dvfs.current
                 current_index = state_index[pstate]
                 templates = template_rows[current_index]
@@ -987,12 +1211,11 @@ def _run_dynamic(st, tel, checkpointer, resumed):
             if instrumented:
                 # ---- telemetry (the scalar loop's accounting helper) ----
                 t4 = clock()
-                changed = freq != tick_freq
-                if not changed:  # decide ran until now; no actuate span
+                if t3 is None:  # decide ran until now; no actuate span
                     t3 = t4
                     t4 = None
-                acct.phases(t0, t1, t2, t3, t4)
-                if mode == 0:
+                acct.phases(t0, t1, t2, t3, t4, hold_index is None)
+                if mode == 0 and not skipped:
                     scale, alpha, beta = row[target_index]
                     estimate = alpha * (r0 * scale) + beta
                 else:
@@ -1008,12 +1231,14 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                     None,
                     tick_freq,
                     gov_states[target_index].frequency_mhz,
-                    changed,
+                    freq != tick_freq,
                     estimate,
                 )
 
             if keep_trace:
-                if two_events:
+                if skipped:
+                    rates = {}
+                elif two_events:
                     rates = {event0: r0, event1: r1}
                 else:
                     rates = {event0: r0}
@@ -1070,6 +1295,11 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 if pending_index is not None
                 else None
             )
+        if lazy:
+            _build_last_sample(
+                fs, rt, sampler._events, lazy_interval, lazy_cycles,
+                lazy_r0, lazy_r1,
+            )
         if instrumented:
             acct.flush()
 
@@ -1077,3 +1307,22 @@ def _run_dynamic(st, tel, checkpointer, resumed):
     st.true_energy = true_energy
     st.tick_index = tick_index
     return _finish_run(st, tel)
+
+
+def _build_last_sample(fs, rt, events, interval_s, cycles, r0, r1):
+    """Build a clean tick's deferred sample and hand it to its holders.
+
+    The scalar loop stores every clean, plausible sample as
+    ``FaultySampler._last_returned`` and
+    ``_ResilienceRuntime._last_good_sample`` (one object, which a
+    checkpoint pickles once); the kernel builds it only when something
+    can observe it.
+    """
+    rates = {events[0]: r0}
+    if len(events) == 2:
+        rates[events[1]] = r1
+    sample = CounterSample(interval_s=interval_s, cycles=float(cycles), rates=rates)
+    if fs is not None:
+        fs._last_returned = sample
+    if rt is not None:
+        rt._last_good_sample = sample

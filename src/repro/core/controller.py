@@ -26,12 +26,14 @@ so an uninstrumented run costs the same as before the subsystem existed.
 
 Two loops run a controller: the fused kernel in
 :mod:`repro.core.blockloop` for the configurations it can replicate
-bit for bit (telemetry and constraint schedules included), and the
-scalar reference loop here for everything else.  Both deliver
-scheduled changes through :func:`_deliver_due` and account each tick's
-telemetry through :class:`_TickTelemetry`, so the two cannot drift
-apart; a run sent to the scalar loop with telemetry on is counted
-under ``controller.fast_path_fallback.<reason>``.
+bit for bit (telemetry, constraint schedules, fault injection and the
+hardened loop included), and the scalar reference loop here for
+everything else.  Both deliver scheduled changes through
+:func:`_deliver_due`, account each tick's telemetry through
+:class:`_TickTelemetry` and route every recovery through
+:class:`_ResilienceRuntime`, so the two cannot drift apart; a run sent
+to the scalar loop with telemetry on is counted under
+``controller.fast_path_fallback.<reason>``.
 
 When a :class:`~repro.core.resilience.ResilienceConfig` is supplied the
 loop is *hardened*: counter samples are validated and held over across
@@ -271,6 +273,16 @@ class _ResilienceRuntime:
             self._sampler_fault_streak = 0
             self._last_good_sample = sample
             return sample
+        return self.sample_fault()
+
+    def sample_fault(self) -> CounterSample | None:
+        """Account one missing or implausible sample.
+
+        Extends the fault streak, trips the watchdog once the streak is
+        long enough, and returns the last good sample (holdover) or
+        None (skip the decision) -- the failure half of
+        :meth:`acquire_sample`, which the fused kernel calls directly.
+        """
         self._sampler_fault_streak += 1
         if (
             self._sampler_fault_streak >= self.config.watchdog_fault_ticks
@@ -610,6 +622,7 @@ class _TickTelemetry:
         self._error_w: List[float] = []
         self._residency: Dict[float, object] = {}
         self._phases = None
+        self._decide = None
         self._actuate = None
         if not resumed:
             tel.emit(
@@ -687,10 +700,11 @@ class _TickTelemetry:
                 )
             )
 
-    def phases(self, t0, t1, t2, t3, t4) -> None:
+    def phases(self, t0, t1, t2, t3, t4, decided=True) -> None:
         """Record one tick's phase spans from ``perf_counter`` stamps.
 
-        ``execute`` runs t0->t1, ``sample`` t1->t2, ``decide`` t2->t3 and
+        ``execute`` runs t0->t1, ``sample`` t1->t2, ``decide`` t2->t3
+        (``decided=False``: a hardened hold, no governor call) and
         ``actuate`` t3->t4 (``t4=None``: no transition).  Paths and counts
         match the scalar loop's ``tel.span`` context managers; only the
         wall-clock values differ, as they do run to run.
@@ -698,13 +712,16 @@ class _TickTelemetry:
         stats = self._phases
         if stats is None:
             spans = self._tel.spans
-            stats = self._phases = tuple(
-                spans.stats_under(name)
-                for name in ("execute", "sample", "decide")
+            stats = self._phases = (
+                spans.stats_under("execute"),
+                spans.stats_under("sample"),
             )
         stats[0].record(t1 - t0)
         stats[1].record(t2 - t1)
-        stats[2].record(t3 - t2)
+        if decided:
+            if self._decide is None:
+                self._decide = self._tel.spans.stats_under("decide")
+            self._decide.record(t3 - t2)
         if t4 is not None:
             if self._actuate is None:
                 self._actuate = self._tel.spans.stats_under("actuate")
@@ -725,11 +742,17 @@ def _scalar_loop(
 ) -> RunResult:
     """The scalar reference loop: one ``machine.step()`` per decision.
 
-    Must stay operation-for-operation identical to the historical inline
-    loop: RNG draws, float accumulation order and telemetry side effects
-    may not change, or checkpointed runs stop being bit-identical to
-    uncheckpointed ones.  Schedule delivery and per-tick telemetry go
-    through the helpers the fused kernel calls too.
+    The semantic definition the fused kernel is checked against, and
+    the production path for what the kernel does not replicate
+    (adaptation, thermal machines, multiplexed samplers, non-stock
+    components and governors, faults or resilience under a static
+    governor).  Must stay operation-for-operation identical to the
+    historical inline loop: RNG draws, float accumulation order and
+    telemetry side effects may not change, or checkpointed runs stop
+    being bit-identical to uncheckpointed ones.  Schedule delivery,
+    per-tick telemetry and sample-fault recovery
+    (:meth:`_ResilienceRuntime.sample_fault`) go through the helpers the
+    fused kernel calls too.
     """
     machine = st.machine
     governor = st.governor

@@ -130,7 +130,10 @@ def worst_case_power_table(
 
     This is the worst-case characterization static clocking provisions
     against; it is *measured* (run on the simulated rig), not computed
-    from model constants.
+    from model constants.  The measurement ignores the open session:
+    its faults, adaptation, telemetry and checkpoint belong to the
+    experiment's cells, not to the characterization they are compared
+    against, and the table is cached per process by (scale, seed) only.
     """
     key = (scale, seed)
     table = _WORST_CASE.get(key)
@@ -150,6 +153,7 @@ def worst_case_power_table(
                     initial_frequency_mhz=pstate.frequency_mhz,
                 ),
                 config,
+                use_ambient=False,
             )
             out[pstate.frequency_mhz] = result.mean_power_w
         table = _WORST_CASE[key] = out

@@ -225,7 +225,9 @@ def execute_cell(
                 checkpoint = session.checkpoint
     slot = None
     if checkpoint is not None:
-        slot, replayed = checkpoint.replay_slot(telemetry)
+        slot, replayed = checkpoint.replay_slot(
+            telemetry, cell.result_workload
+        )
         if replayed is not None:
             return replayed
     prepared = prepare_cell(

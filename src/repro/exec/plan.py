@@ -444,6 +444,17 @@ class RunCell:
         return self.workload.name
 
     @property
+    def result_workload(self) -> str | None:
+        """The ``RunResult.workload`` this cell's run reports, when known
+        without resolving the workload (None for ``trace:``/``corpus:``
+        specs, whose runs are named after the loaded trace)."""
+        from repro.workloads.registry import is_workload_spec
+
+        if is_workload_spec(self.workload):
+            return None
+        return self.workload_name
+
+    @property
     def label(self) -> str:
         """``workload/governor[/tN][/repN]`` tag for logs and telemetry."""
         tag = f"{self.workload_name}/{self.governor.label}"

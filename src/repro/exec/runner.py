@@ -87,7 +87,9 @@ class ParallelRunner:
         pending: List[int] = []
         for index in range(len(plan.cells)):
             if checkpoint_session is not None:
-                slots[index], replayed = checkpoint_session.replay_slot()
+                slots[index], replayed = checkpoint_session.replay_slot(
+                    workload=plan.cells[index].result_workload
+                )
                 if replayed is not None:
                     results[index] = replayed
                     continue

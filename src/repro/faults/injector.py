@@ -245,35 +245,46 @@ class FaultySampler:
                 self._injector.record("sampler", "duplicate", now)
                 return self._last_returned
         if cfg.garble_prob and rng.random() < cfg.garble_prob:
-            magnitude = cfg.garble_magnitude
-            factors = {
-                event: 10.0 ** rng.uniform(-magnitude, magnitude)
-                for event in sample.rates
-            }
-            sample = CounterSample(
-                interval_s=sample.interval_s,
-                cycles=sample.cycles,
-                rates={
-                    event: rate * factors[event]
-                    for event, rate in sample.rates.items()
-                },
-            )
+            sample = garbled(sample, rng, cfg.garble_magnitude)
             self._injector.record("sampler", "garble", now)
         elif cfg.overflow_prob and rng.random() < cfg.overflow_prob:
-            # A 40-bit wraparound misread: the delta gains a full counter
-            # span, which shows up as an absurd per-cycle rate.
-            wrap = _COUNTER_SPAN / max(sample.cycles, 1.0)
-            sample = CounterSample(
-                interval_s=sample.interval_s,
-                cycles=sample.cycles,
-                rates={
-                    event: rate + wrap
-                    for event, rate in sample.rates.items()
-                },
-            )
+            sample = overflowed(sample)
             self._injector.record("sampler", "overflow", now)
         self._last_returned = sample
         return sample
+
+
+def garbled(sample: CounterSample, rng, magnitude: float) -> CounterSample:
+    """``sample`` with every rate scaled by ``10 ** U(-magnitude, magnitude)``.
+
+    Draws one factor per monitored event, in rate order, from ``rng``.
+    """
+    factors = {
+        event: 10.0 ** rng.uniform(-magnitude, magnitude)
+        for event in sample.rates
+    }
+    return CounterSample(
+        interval_s=sample.interval_s,
+        cycles=sample.cycles,
+        rates={
+            event: rate * factors[event]
+            for event, rate in sample.rates.items()
+        },
+    )
+
+
+def overflowed(sample: CounterSample) -> CounterSample:
+    """``sample`` misread across a 40-bit wraparound.
+
+    The delta gains a full counter span, which shows up as an absurd
+    per-cycle rate.
+    """
+    wrap = _COUNTER_SPAN / max(sample.cycles, 1.0)
+    return CounterSample(
+        interval_s=sample.interval_s,
+        cycles=sample.cycles,
+        rates={event: rate + wrap for event, rate in sample.rates.items()},
+    )
 
 
 class FaultyPowerMeter:

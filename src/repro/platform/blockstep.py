@@ -277,20 +277,32 @@ def inline_meter(machine: "Machine") -> PowerMeter | None:
     through the stock bound ``accumulate``; anything else keeps the
     generic sink indirection.
     """
+    meter = sink_meter(machine)
+    return meter if is_stock_meter(meter) else None
+
+
+def sink_meter(machine: "Machine"):
+    """The object behind the machine's only power sink, iff that sink
+    is the object's own bound ``accumulate`` (None otherwise)."""
     sinks = machine._power_sinks
     if len(sinks) != 1:
         return None
     sink = sinks[0]
     meter = getattr(sink, "__self__", None)
-    if type(meter) is not PowerMeter:
-        return None
-    if getattr(sink, "__func__", None) is not PowerMeter.accumulate:
-        return None
-    if type(meter._sense) is not SenseResistorChannel:
-        return None
-    if type(meter._adc) is not ADCModel:
+    func = getattr(sink, "__func__", None)
+    if func is None or func is not getattr(type(meter), "accumulate", None):
         return None
     return meter
+
+
+def is_stock_meter(meter) -> bool:
+    """Whether ``meter`` is an unmodified :class:`PowerMeter` with stock
+    sense/ADC front ends (the meter arithmetic the kernels inline)."""
+    return (
+        type(meter) is PowerMeter
+        and type(meter._sense) is SenseResistorChannel
+        and type(meter._adc) is ADCModel
+    )
 
 
 def make_meter_emit(meter: PowerMeter):

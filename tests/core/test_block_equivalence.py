@@ -29,8 +29,16 @@ from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.limits import ConstraintSchedule
 from repro.core.models.power import LinearPowerModel
+from repro.core.resilience import ResilienceConfig
 from repro.exec import ExperimentConfig, GovernorSpec, RunCell, execute_cell
-from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
+from repro.errors import SampleDropped
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (
+    FaultPlan,
+    MeterFaults,
+    SampleFaults,
+    TransitionFaults,
+)
 from repro.platform.machine import Machine, MachineConfig
 from repro.telemetry import TelemetryRecorder
 from repro.telemetry.metrics import FALLBACK_COUNTER
@@ -111,7 +119,8 @@ def test_fallback_counter_names_the_failed_check(monkeypatch):
     monkeypatch.delenv("REPRO_SCALAR_LOOP", raising=False)
     pm = GOVERNORS["paper-pm"]
     assert _fallbacks(pm) == {}  # telemetry itself no longer falls back
-    assert _fallbacks(pm, fault_plan=PLAN) == {"faults": 1.0}
+    assert _fallbacks(pm, fault_plan=PLAN) == {}  # nor do faults
+    assert _fallbacks(pm, resilience=ResilienceConfig()) == {}
     assert _fallbacks(
         pm, adaptation=AdaptationManager(AdaptationConfig())
     ) == {"adaptation": 1.0}
@@ -119,6 +128,13 @@ def test_fallback_counter_names_the_failed_check(monkeypatch):
     assert _fallbacks(GovernorSpec.fixed(1400.0)) == {
         "static_telemetry": 1.0
     }
+    # The static arm still leaves faults and resilience to the scalar loop.
+    assert _fallbacks(GovernorSpec.fixed(1400.0), fault_plan=PLAN) == {
+        "static_faults": 1.0
+    }
+    assert _fallbacks(
+        GovernorSpec.fixed(1400.0), resilience=ResilienceConfig()
+    ) == {"static_resilience": 1.0}
     monkeypatch.setenv("REPRO_SCALAR_LOOP", "1")
     assert _fallbacks(pm) == {"forced": 1.0}
 
@@ -261,6 +277,119 @@ def test_checkpoint_after_actuation_matches_scalar(monkeypatch):
         snapshots[fast] = checkpointer.snapshots
     assert len(snapshots[True]) > 3
     assert snapshots[True] == snapshots[False]
+
+
+class _TickLog:
+    """Duck-typed checkpointer: records the ticks it is asked to save."""
+
+    interval_ticks = 7
+
+    def __init__(self):
+        self.ticks = []
+
+    def save(self, tick, state, tel=None):
+        self.ticks.append(tick)
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+def test_checkpoint_cadence_matches_scalar(faults, monkeypatch):
+    """Both loops save at tick 0 and then every ``interval_ticks``."""
+    saved = {}
+    for fast in (True, False):
+        monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
+        controller = (
+            _faulted_controller(ResilienceConfig()) if faults
+            else _controller()
+        )
+        checkpointer = _TickLog()
+        controller.run(_workload(), checkpointer=checkpointer)
+        saved[fast] = checkpointer.ticks
+    assert saved[True] == saved[False]
+    assert saved[True][:3] == [0, 7, 14]
+
+
+#: Every sampler, meter and transition fault kind at once.
+ALL_FAULTS = FaultPlan(
+    seed=3,
+    sample=SampleFaults(drop_prob=0.1, duplicate_prob=0.1,
+                        garble_prob=0.1, overflow_prob=0.05),
+    meter=MeterFaults(dropout_prob=0.05, spike_prob=0.1,
+                      drift_rate_per_s=0.5, drift_start_s=0.05),
+    transition=TransitionFaults(fail_prob=0.4, stall_prob=0.3),
+)
+
+
+def _faulted_controller(resilience):
+    machine = Machine(MachineConfig(seed=21))
+    governor = PerformanceMaximizer(
+        machine.config.table, LinearPowerModel.paper_model(), 12.0
+    )
+    return PowerManagementController(
+        machine, governor, keep_trace=True, resilience=resilience,
+        injector=FaultInjector(ALL_FAULTS),
+    )
+
+
+def test_faulted_checkpoints_match_scalar_every_tick(monkeypatch):
+    """A hardened, fault-injected run pickles to the same bytes on both
+    loops before every tick: the wrappers' and the resilience runtime's
+    state (streaks, last good sample, corrupted-sample count, injector
+    RNG streams) is never torn or stale in the fast loop."""
+    snapshots = {}
+    for fast in (True, False):
+        monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
+        controller = _faulted_controller(
+            ResilienceConfig(watchdog_fault_ticks=3)
+        )
+        checkpointer = _PickleEveryTick()
+        result = controller.run(
+            default_registry().get("gzip").scaled(0.2),
+            initial_pstate=controller.machine.config.table.slowest,
+            checkpointer=checkpointer,
+        )
+        snapshots[fast] = checkpointer.snapshots
+        assert result.recoveries and sum(
+            controller._injector.injected.values()
+        ) > 10
+    assert len(snapshots[True]) > 3
+    assert snapshots[True] == snapshots[False]
+
+
+def test_unhardened_injection_matches_scalar(monkeypatch):
+    """Faults without a resilience runtime: corrupted samples reach the
+    governor directly, and a dropped sample aborts the run with the
+    same error on both loops."""
+    outcomes = {}
+    for drop in (0.0, 0.2):
+        plan = FaultPlan(
+            seed=8,
+            sample=SampleFaults(drop_prob=drop, duplicate_prob=0.2,
+                                garble_prob=0.2),
+            meter=MeterFaults(spike_prob=0.2),
+            transition=TransitionFaults(stall_prob=0.5),
+        )
+        for fast in (True, False):
+            monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
+            machine = Machine(MachineConfig(seed=4))
+            controller = PowerManagementController(
+                machine,
+                PerformanceMaximizer(
+                    machine.config.table, LinearPowerModel.paper_model(),
+                    12.0,
+                ),
+                keep_trace=True,
+                injector=FaultInjector(plan),
+            )
+            try:
+                result = controller.run(
+                    default_registry().get("gzip").scaled(0.3)
+                )
+                outcomes[drop, fast] = run_result_digest(result)
+            except SampleDropped as error:
+                outcomes[drop, fast] = str(error)
+    assert outcomes[0.0, True] == outcomes[0.0, False]
+    assert outcomes[0.2, True] == outcomes[0.2, False]
+    assert "injected dropped counter sample" in outcomes[0.2, True]
 
 
 # -- schedules and telemetry across a kill --------------------------------

@@ -81,13 +81,7 @@ def test_experiment_rejects_negative_workers(capsys):
 
 @pytest.fixture
 def fresh_caches():
-    """Per-process caches as a new process has them, before and after.
-
-    The worst-case power table is measured through ``execute_cell``
-    under the open session, so whether it is cached decides how many
-    checkpoint slots an experiment claims, and a table measured under
-    faults must not leak into later tests.
-    """
+    """Per-process caches as a new process has them, before and after."""
     clear_caches()
     yield clear_caches
     clear_caches()
@@ -128,3 +122,36 @@ def test_experiment_options_reach_every_cell(
     assert resumed.out == first.replace(
         f"telemetry written to {telemetry}\n", ""
     )
+
+
+def test_in_process_resume_matches_a_fresh_process(
+    tmp_path, capsys, fresh_caches
+):
+    """The Table III characterisation fig7 provisions against claims no
+    checkpoint slots, so resuming in the process that wrote the archive
+    (table cached) replays the same cells, and prints the same
+    speedups, as a fresh process (table measured again)."""
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({
+        "seed": 0,
+        "meter": {"spike_prob": 0.2},
+        "transition": {"fail_prob": 0.4},
+    }))
+    checkpoint = tmp_path / "ckpt"
+    assert main([
+        "experiment", "fig7", "--scale", "0.05",
+        "--faults", str(faults), "--checkpoint", str(checkpoint),
+    ]) == 0
+    first = capsys.readouterr().out
+    assert main(["experiment", "--resume", str(checkpoint)]) == 0
+    warm = capsys.readouterr()
+    fresh_caches()  # a fresh process
+    assert main(["experiment", "--resume", str(checkpoint)]) == 0
+    cold = capsys.readouterr()
+    assert warm.out == first
+    assert cold.out == first
+
+    def replayed(err):
+        return [line for line in err.splitlines() if "replayed" in line]
+
+    assert replayed(warm.err) == replayed(cold.err) != []

@@ -13,14 +13,16 @@ import pytest
 from repro.adaptation.manager import AdaptationConfig
 from repro.checkpoint.digest import run_result_digest
 from repro.checkpoint.session import ExperimentCheckpointSession
+from repro.errors import CheckpointError
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell
 from repro.exec.session import (
     current_session,
     execute_cells,
     open_session,
 )
+from repro.exec.cache import clear_caches, worst_case_power_table
 from repro.exec.core import execute_cell
-from repro.faults.plan import FaultPlan, SampleFaults
+from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.registry import get_workload
 
@@ -98,6 +100,26 @@ def test_checkpointed_session_replays_on_resume(
     assert _digests(second) == _digests(first)
 
 
+@pytest.mark.parametrize("resume_workers", [0, 2])
+def test_resume_rejects_an_archive_with_shifted_slots(
+    tmp_path, resume_workers
+):
+    """Slots match cells by claim order, so an archive whose cells sit
+    one slot off (an extra measurement ran ahead of them) must not be
+    replayed into the wrong cells."""
+    directory = tmp_path / "ckpt"
+    extra = RunCell.fixed("FMA-256KB", 2000.0)
+    with ExperimentCheckpointSession.create(
+        directory, experiment="exec-test"
+    ) as ckpt:
+        with open_session(checkpoint=ckpt) as session:
+            session.run_cells((extra,) + CELLS, CONFIG)
+    with ExperimentCheckpointSession.open(directory) as ckpt:
+        with open_session(checkpoint=ckpt, workers=resume_workers) as session:
+            with pytest.raises(CheckpointError, match="older version"):
+                session.run_cells(CELLS, CONFIG)
+
+
 def test_slot_killed_before_its_manifest_runs_fresh(tmp_path):
     directory = tmp_path / "ckpt"
     with ExperimentCheckpointSession.create(
@@ -172,3 +194,28 @@ def test_drift_frozen_leg_ignores_session_adaptation(monkeypatch):
     kwargs, result = calls[2]
     assert run_result_digest(result) == frozen
     assert kwargs["telemetry"] is recorder  # telemetry still reaches it
+
+
+def test_worst_case_table_ignores_the_session():
+    """Table III is characterised on the clean rig: the session's faults,
+    adaptation and telemetry belong to the experiment's cells and never
+    reach the measurement, so the cached table is the same wherever it
+    was first measured."""
+    clear_caches()
+    try:
+        outside = dict(worst_case_power_table(scale=0.05, seed=3))
+        clear_caches()
+        recorder = TelemetryRecorder()
+        faults = FaultPlan(
+            seed=1,
+            sample=SampleFaults(drop_prob=0.3),
+            meter=MeterFaults(spike_prob=0.3, drift_rate_per_s=1.0),
+        )
+        with open_session(
+            telemetry=recorder, faults=faults, adaptation=AdaptationConfig()
+        ):
+            inside = dict(worst_case_power_table(scale=0.05, seed=3))
+    finally:
+        clear_caches()
+    assert inside == outside
+    assert "controller.ticks" not in recorder.metrics.snapshot()["counters"]
